@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Developer gate: nine legs, all required.
+# Developer gate: ten legs, all required.
 #
 #   1. AddressSanitizer: warnings-as-errors build + the full test suite
 #      (build-asan/).
@@ -41,21 +41,26 @@
 #      accounting and a clean drain are its exit-code contract, so the
 #      whole network serving path runs under ASan on every gate.
 #   8. Perf regression: a plain RelWithDebInfo build runs
-#      bench_micro --benchmark_filter=BM_Query and scripts/bench_compare.py
-#      diffs the artifact against the committed baseline
-#      (bench/baselines/BENCH_micro.json); >10% regression on any query
-#      benchmark — mean or p99 — fails the gate.
+#      bench_micro --benchmark_filter='BM_Query|BM_BuildSelector' and
+#      scripts/bench_compare.py diffs the artifact against the committed
+#      baseline (bench/baselines/BENCH_micro.json); >10% regression on any
+#      query benchmark — mean or p99 — or on the selector build time fails
+#      the gate.
 #   9. Prefilter exactness gate: the same plain build runs bench_prefilter
 #      (every query compared tier-on vs tier-off across all algorithms and
 #      thresholds) and scripts/bench_compare.py --prefilter-gate enforces
 #      the artifact's claims — all cells byte-identical and the SF tau=0.9
 #      elements-read reduction at least 2x.
+#  10. Benchmark smoke: python3 simbench/run.py runs each of the three
+#      workloads (grid-mem, grid-disk, serve-rw) for 20 s; every run must
+#      exit 0 and end with a result line reporting "correct": true. 20 s is
+#      the shortest run that gives serve-rw its 1000 samples per sub-leg.
 #
 # Usage:
 #
-#   scripts/check.sh                       # all nine legs
+#   scripts/check.sh                       # all ten legs
 #   SIMSEL_CHECK_TSAN=1 scripts/check.sh   # widen the TSan leg to the full suite
-#   SIMSEL_CHECK_SKIP_BENCH=1 scripts/check.sh  # skip legs 8-9 (e.g. loaded CI box)
+#   SIMSEL_CHECK_SKIP_BENCH=1 scripts/check.sh  # skip legs 8-10 (e.g. loaded CI box)
 #
 # Keep this green before sending changes; it is the same configuration the
 # sanitizer options in CMakeLists.txt expose.
@@ -63,31 +68,32 @@
 # Refreshing the perf baseline (only for intentional perf-profile changes —
 # explain the shift in the same commit):
 #
-#   (cd build-bench/bench && ./bench_micro --benchmark_filter=BM_Query)
+#   (cd build-bench/bench &&
+#    ./bench_micro --benchmark_filter='BM_Query|BM_BuildSelector')
 #   cp build-bench/bench/BENCH_micro.json bench/baselines/BENCH_micro.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 jobs="$(nproc)"
 
-echo "== check.sh leg 1/9: AddressSanitizer, full suite =="
+echo "== check.sh leg 1/10: AddressSanitizer, full suite =="
 cmake -B build-asan -S . -DSIMSEL_WERROR=ON -DSIMSEL_ENABLE_ASAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$jobs"
 ctest --test-dir build-asan --output-on-failure -j "$jobs"
 
-echo "== check.sh leg 2/9: full suite with SIMSEL_FORCE_SCALAR=1 =="
+echo "== check.sh leg 2/10: full suite with SIMSEL_FORCE_SCALAR=1 =="
 SIMSEL_FORCE_SCALAR=1 \
   ctest --test-dir build-asan --output-on-failure -j "$jobs"
 
-echo "== check.sh leg 3/9: documentation links, CLI flags, metric names =="
+echo "== check.sh leg 3/10: documentation links, CLI flags, metric names =="
 scripts/check_docs.py --cli build-asan/examples/simsel_cli
 
-echo "== check.sh leg 4/9: Prometheus exposition lint =="
+echo "== check.sh leg 4/10: Prometheus exposition lint =="
 build-asan/examples/simsel_cli --stats --words=2000 2>/dev/null \
   | scripts/check_prom.py
 
-echo "== check.sh leg 5/9: ThreadSanitizer =="
+echo "== check.sh leg 5/10: ThreadSanitizer =="
 cmake -B build-tsan -S . -DSIMSEL_WERROR=ON -DSIMSEL_ENABLE_TSAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j "$jobs"
@@ -101,7 +107,7 @@ else
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L concurrency
 fi
 
-echo "== check.sh leg 6/9: UndefinedBehaviorSanitizer, codec + kernels =="
+echo "== check.sh leg 6/10: UndefinedBehaviorSanitizer, codec + kernels =="
 cmake -B build-ubsan -S . -DSIMSEL_WERROR=ON -DSIMSEL_ENABLE_UBSAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-ubsan -j "$jobs" \
@@ -110,31 +116,39 @@ cmake --build build-ubsan -j "$jobs" \
 ctest --test-dir build-ubsan --output-on-failure -j "$jobs" \
       -R 'codec_test|simd_kernels_test|posting_store_test|index_version_test'
 
-echo "== check.sh leg 7/9: network serving smoke (bench_ycsb under ASan) =="
+echo "== check.sh leg 7/10: network serving smoke (bench_ycsb under ASan) =="
 cmake --build build-asan -j "$jobs" --target bench_ycsb
 (cd build-asan/bench && ./bench_ycsb --words=6000 --queries=60 --conns=2 \
      --requests=30 --seconds=1)
 
 if [[ "${SIMSEL_CHECK_SKIP_BENCH:-0}" == "1" ]]; then
-  echo "== check.sh leg 8/9: perf regression — SKIPPED (SIMSEL_CHECK_SKIP_BENCH=1) =="
+  echo "== check.sh leg 8/10: perf regression — SKIPPED (SIMSEL_CHECK_SKIP_BENCH=1) =="
 else
-  echo "== check.sh leg 8/9: perf regression vs bench/baselines/BENCH_micro.json =="
+  echo "== check.sh leg 8/10: perf regression vs bench/baselines/BENCH_micro.json =="
   # Sanitizer builds are useless for timing: a separate plain build.
   cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-bench -j "$jobs" --target bench_micro
-  (cd build-bench/bench && ./bench_micro --benchmark_filter=BM_Query)
+  (cd build-bench/bench &&
+     ./bench_micro --benchmark_filter='BM_Query|BM_BuildSelector')
   scripts/bench_compare.py bench/baselines/BENCH_micro.json \
       build-bench/bench/BENCH_micro.json
 fi
 
 if [[ "${SIMSEL_CHECK_SKIP_BENCH:-0}" == "1" ]]; then
-  echo "== check.sh leg 9/9: prefilter exactness gate — SKIPPED (SIMSEL_CHECK_SKIP_BENCH=1) =="
+  echo "== check.sh leg 9/10: prefilter exactness gate — SKIPPED (SIMSEL_CHECK_SKIP_BENCH=1) =="
 else
-  echo "== check.sh leg 9/9: prefilter exactness gate (bench_prefilter ablation) =="
+  echo "== check.sh leg 9/10: prefilter exactness gate (bench_prefilter ablation) =="
   cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-bench -j "$jobs" --target bench_prefilter
   (cd build-bench/bench && ./bench_prefilter --words=50000 --queries=100)
   scripts/bench_compare.py --prefilter-gate build-bench/bench/BENCH_prefilter.json
+fi
+
+if [[ "${SIMSEL_CHECK_SKIP_BENCH:-0}" == "1" ]]; then
+  echo "== check.sh leg 10/10: benchmark smoke — SKIPPED (SIMSEL_CHECK_SKIP_BENCH=1) =="
+else
+  echo "== check.sh leg 10/10: benchmark smoke (simbench, all three workloads) =="
+  scripts/bench_smoke.sh
 fi
 
 echo "check.sh: all legs passed"

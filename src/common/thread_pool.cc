@@ -122,6 +122,10 @@ void ThreadPool::WorkerLoop() {
 
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn) {
+  if (pool == nullptr) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
   if (n == 0) return;
   const size_t num_threads = pool->num_threads();
   const size_t chunk = std::max<size_t>(1, (n + num_threads - 1) / num_threads);

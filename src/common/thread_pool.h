@@ -76,7 +76,8 @@ class ThreadPool {
 };
 
 /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-/// Indices are handed out in contiguous chunks for cache friendliness.
+/// Indices are handed out in contiguous chunks for cache friendliness. A
+/// null pool runs every index in order on the calling thread.
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn);
 

@@ -171,8 +171,17 @@ Result<SimilaritySelector> SimilaritySelector::BuildWithSavedIndex(
   for (SetId s = 0; s < sel.collection_->size(); ++s) {
     expected += sel.collection_->set(s).tokens.size();
   }
+  // The sketch rows must cover exactly the supplied sets: the prefilter
+  // reads one collection set per row, so a wider section would read past
+  // the collection (postings and tokens alone cannot tell — empty records
+  // add neither).
+  const bool sketch_mismatch =
+      sel.index_->has_sketches() &&
+      (sel.index_->sketch_begin() != 0 ||
+       sel.index_->sketch_num_sets() != sel.collection_->size());
   if (sel.index_->total_postings() != expected ||
-      sel.index_->num_tokens() != sel.collection_->dictionary().size()) {
+      sel.index_->num_tokens() != sel.collection_->dictionary().size() ||
+      sketch_mismatch) {
     SIMSEL_LOG(kWarn) << "index at " << index_path
                       << " does not match the supplied records ("
                       << sel.index_->total_postings() << " postings, expected "

@@ -22,21 +22,13 @@ SelfJoinResult SelfJoin(const SimilaritySelector& selector, double tau,
     return std::make_pair(std::move(out), r.counters);
   };
 
-  if (options.pool == nullptr) {
-    for (SetId a = 0; a < n; ++a) {
-      auto [pairs, counters] = probe(a);
-      result.pairs.insert(result.pairs.end(), pairs.begin(), pairs.end());
-      result.counters.Merge(counters);
-    }
-  } else {
-    std::mutex mu;
-    ParallelFor(options.pool, n, [&](size_t a) {
-      auto [pairs, counters] = probe(static_cast<SetId>(a));
-      std::lock_guard<std::mutex> lock(mu);
-      result.pairs.insert(result.pairs.end(), pairs.begin(), pairs.end());
-      result.counters.Merge(counters);
-    });
-  }
+  std::mutex mu;
+  ParallelFor(options.pool, n, [&](size_t a) {
+    auto [pairs, counters] = probe(static_cast<SetId>(a));
+    std::lock_guard<std::mutex> lock(mu);
+    result.pairs.insert(result.pairs.end(), pairs.begin(), pairs.end());
+    result.counters.Merge(counters);
+  });
 
   std::sort(result.pairs.begin(), result.pairs.end(),
             [](const JoinPair& x, const JoinPair& y) {

@@ -16,13 +16,6 @@
 
 namespace simsel {
 
-namespace {
-
-/// Below this many postings the per-token passes run serially: spawning
-/// workers would cost more than the work (the unit-test corpora all land
-/// here, which also keeps their builds deterministic under sanitizers).
-constexpr uint64_t kParallelBuildThreshold = 1u << 18;
-
 std::unique_ptr<ThreadPool> MakeBuildPool(const InvertedIndexOptions& options,
                                           uint64_t total_postings) {
   size_t threads = options.build_threads;
@@ -33,18 +26,6 @@ std::unique_ptr<ThreadPool> MakeBuildPool(const InvertedIndexOptions& options,
   if (threads <= 1) return nullptr;
   return std::make_unique<ThreadPool>(threads);
 }
-
-/// Runs fn(t) for every token, on the pool when one was made.
-void ForEachToken(ThreadPool* pool, size_t num_tokens,
-                  const std::function<void(size_t)>& fn) {
-  if (pool != nullptr) {
-    ParallelFor(pool, num_tokens, fn);
-  } else {
-    for (size_t t = 0; t < num_tokens; ++t) fn(t);
-  }
-}
-
-}  // namespace
 
 InvertedIndex InvertedIndex::Build(const Collection& collection,
                                    const IdfMeasure& measure,
@@ -115,7 +96,7 @@ InvertedIndex InvertedIndex::BuildRangeWithLengths(
   index.len_ids_.resize(total);
   index.len_lens_.resize(total);
   std::unique_ptr<ThreadPool> pool = MakeBuildPool(options, total);
-  ForEachToken(pool.get(), num_tokens, [&index](size_t t) {
+  ParallelFor(pool.get(), num_tokens, [&index](size_t t) {
     thread_local std::vector<uint32_t> order;
     const uint64_t begin = index.offsets_[t];
     const size_t n = index.ListSize(static_cast<TokenId>(t));
@@ -149,14 +130,14 @@ InvertedIndex InvertedIndex::BuildRangeWithLengths(
     index.sketch_begin_ = range_begin;
     index.sketch_sigs_.resize(
         static_cast<size_t>(range_end - range_begin) * k);
-    ForEachToken(pool.get(), range_end - range_begin,
-                 [&index, &collection, &seeds, range_begin, k](size_t i) {
-                   const SetRecord& set =
-                       collection.set(range_begin + static_cast<SetId>(i));
-                   sketch::ComputeSignature(
-                       set.tokens.data(), set.tokens.size(), seeds,
-                       index.sketch_sigs_.data() + i * static_cast<size_t>(k));
-                 });
+    ParallelFor(pool.get(), range_end - range_begin,
+                [&index, &collection, &seeds, range_begin, k](size_t i) {
+                  const SetRecord& set =
+                      collection.set(range_begin + static_cast<SetId>(i));
+                  sketch::ComputeSignature(
+                      set.tokens.data(), set.tokens.size(), seeds,
+                      index.sketch_sigs_.data() + i * static_cast<size_t>(k));
+                });
   }
 
   index.BuildDerived();
@@ -180,7 +161,7 @@ void InvertedIndex::BuildDerived() {
 
   std::unique_ptr<ThreadPool> pool =
       MakeBuildPool(options_, total_postings());
-  ForEachToken(pool.get(), num_tokens, [this, bp](size_t t) {
+  ParallelFor(pool.get(), num_tokens, [this, bp](size_t t) {
     const size_t n = ListSize(static_cast<TokenId>(t));
     const uint32_t* ids = LenIds(static_cast<TokenId>(t));
     const float* lens = LenLens(static_cast<TokenId>(t));

@@ -15,6 +15,8 @@
 
 namespace simsel {
 
+class ThreadPool;
+
 /// Construction knobs for the inverted index (Section VIII-A's setup).
 struct InvertedIndexOptions {
   /// Modeled disk page size for list storage (drives page accounting).
@@ -29,10 +31,11 @@ struct InvertedIndexOptions {
   /// {min_len, max_len, first_id, last_id} summary. Length seeks binary-
   /// search the summaries and span reads never cross a block boundary.
   size_t block_postings = 128;
-  /// Worker threads for the per-token build passes (sorting, summaries,
-  /// skip indexes, hashes). 0 = auto: parallel only when the index is large
-  /// enough to amortize spawning workers. The result is identical either
-  /// way (every pass is per-token deterministic).
+  /// Worker threads for the build passes (per-token sorting, summaries,
+  /// skip indexes, hashes; per-set signatures; the prefilter's band tables).
+  /// 0 = auto: parallel only when the index is large enough to amortize
+  /// spawning workers (see MakeBuildPool). The result is identical either
+  /// way (every pass is deterministic per token, set or band).
   size_t build_threads = 0;
   /// Build the by-id sorted lists (needed by the sort-by-id baseline).
   bool build_id_lists = true;
@@ -48,6 +51,21 @@ struct InvertedIndexOptions {
   /// two builds of one collection produce identical sketch sections.
   sketch::SketchParams sketch;
 };
+
+/// Below this many postings the build passes run serially: spawning workers
+/// would cost more than the work. The unit-test corpora, shards of a few
+/// tens of thousands of sets and serving-sized dynamic rebuilds all land
+/// here, which keeps their builds deterministic under sanitizers and starts
+/// no threads beside the serving ones.
+inline constexpr uint64_t kParallelBuildThreshold = 1u << 18;
+
+/// The worker pool of one build over `total_postings` postings, or null to
+/// run it on the calling thread: options.build_threads workers when set
+/// (1 = serial), else hardware concurrency once the index reaches
+/// kParallelBuildThreshold. Shared by the index build and the prefilter
+/// built over it (sketch::AttachPrefilter), so both follow one rule.
+std::unique_ptr<ThreadPool> MakeBuildPool(const InvertedIndexOptions& options,
+                                          uint64_t total_postings);
 
 /// Summary of one fixed-size block of by-length postings. Because the list
 /// is sorted by (len, id), min/max_len of consecutive blocks are themselves

@@ -1,8 +1,10 @@
 #include "sketch/prefilter.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/internal.h"
 #include "index/inverted_index.h"
@@ -97,10 +99,49 @@ bool DeltaScreen::Admits(const uint64_t* sig, float length,
   return SignatureAdmits(qsig_.data(), sig, k, (j_min - epsilon_) * k - 1e-9);
 }
 
+void SortBandTable(BandEntry* entries, size_t n,
+                   std::vector<BandEntry>* scratch) {
+  if (n < 2) return;
+  // Keys are hashes, so bit_width(n) top bits spread the entries about one
+  // per bucket; the cap keeps the histogram (256 KiB) in L2.
+  const int bits = std::min(16, static_cast<int>(std::bit_width(n - 1)));
+  const int shift = 64 - bits;
+  const size_t num_buckets = size_t{1} << bits;
+  // next[d] starts as bucket d's first slot and ends past its last.
+  std::vector<uint32_t> next(num_buckets + 1, 0);
+  for (size_t i = 0; i < n; ++i) ++next[(entries[i].key >> shift) + 1];
+  for (size_t d = 1; d <= num_buckets; ++d) next[d] += next[d - 1];
+  scratch->resize(n);
+  BandEntry* out = scratch->data();
+  for (size_t i = 0; i < n; ++i) {
+    out[next[entries[i].key >> shift]++] = entries[i];
+  }
+  std::copy(out, out + n, entries);
+  // The scatter was stable, so each bucket holds its entries in input
+  // order; ordering it by (key, row) completes the sort.
+  constexpr size_t kInsertionSortMax = 32;
+  for (size_t d = 0, lo = 0; d < num_buckets; ++d) {
+    BandEntry* first = entries + lo;
+    BandEntry* last = entries + next[d];
+    lo = next[d];
+    if (last - first > static_cast<ptrdiff_t>(kInsertionSortMax)) {
+      std::sort(first, last);
+      continue;
+    }
+    for (BandEntry* i = first + 1; i < last; ++i) {
+      const BandEntry e = *i;
+      BandEntry* j = i;
+      for (; j > first && e < *(j - 1); --j) *j = *(j - 1);
+      *j = e;
+    }
+  }
+}
+
 std::unique_ptr<Prefilter> Prefilter::Build(const IdfMeasure& measure,
                                             const SketchParams& params,
                                             const uint64_t* signatures,
                                             SetId begin, SetId end,
+                                            ThreadPool* pool,
                                             uint32_t partitions,
                                             uint32_t buckets) {
   if (!params.valid() || signatures == nullptr || end <= begin) return nullptr;
@@ -114,17 +155,31 @@ std::unique_ptr<Prefilter> Prefilter::Build(const IdfMeasure& measure,
   pf->epsilon_ = AdmissionEpsilon(params);
   pf->j_engage_ = EngageThreshold(params);
   pf->router_ = PartitionRouter::Build(measure, begin, end, partitions, buckets);
-  pf->bands_.resize(params.bands);
-  for (uint32_t b = 0; b < params.bands; ++b) {
-    auto& table = pf->bands_[b];
-    table.resize(pf->num_sets_);
-    for (uint32_t row = 0; row < pf->num_sets_; ++row) {
-      const uint64_t* sig = signatures + static_cast<size_t>(row) * params.k;
-      table[row] = {BandKey(sig, b, params.rows), row,
-                    measure.set_length(begin + row)};
+
+  // Pass 1, row-major: every band key of a signature row while the row is
+  // in cache, each written to its band's table in row order.
+  const size_t n = pf->num_sets_;
+  const uint32_t bands = params.bands;
+  pf->bands_.reset(new BandEntry[static_cast<size_t>(bands) * n]);
+  BandEntry* tables = pf->bands_.get();
+  ParallelFor(pool, n, [&](size_t row) {
+    const uint64_t* sig = signatures + row * params.k;
+    const float len = measure.set_length(begin + static_cast<SetId>(row));
+    for (uint32_t b = 0; b < bands; ++b) {
+      tables[b * n + row] = {BandKey(sig, b, params.rows),
+                             static_cast<uint32_t>(row), len};
     }
-    std::sort(table.begin(), table.end());
-  }
+  });
+  // Pass 2: sort each band, one contiguous slice of bands per worker so a
+  // worker reuses its scratch.
+  const size_t slices =
+      pool == nullptr ? 1 : std::min<size_t>(pool->num_threads(), bands);
+  ParallelFor(pool, slices, [&](size_t w) {
+    std::vector<BandEntry> scratch;
+    for (size_t b = w * bands / slices; b < (w + 1) * bands / slices; ++b) {
+      SortBandTable(tables + b * n, n, &scratch);
+    }
+  });
   return pf;
 }
 
@@ -271,10 +326,12 @@ bool Prefilter::TrySelect(const PreparedQuery& q, double tau,
       }
       ++result->counters.hash_probes;
       const uint64_t key = BandKey(qsig.data(), b, rows);
-      const auto& table = bands_[b];
-      auto it = std::lower_bound(table.begin(), table.end(),
-                                 BandEntry{key, 0, 0.0f});
-      for (; it != table.end() && it->key == key; ++it) {
+      const BandEntry* table =
+          bands_.get() + static_cast<size_t>(b) * num_sets_;
+      const BandEntry* table_end = table + num_sets_;
+      const BandEntry* it =
+          std::lower_bound(table, table_end, BandEntry{key, 0, 0.0f});
+      for (; it != table_end && it->key == key; ++it) {
         ++result->counters.candidate_scan_steps;
         // Screen by the deterministic length window and partition mask
         // before dedup: the length rides in the table entry, so the bulk
@@ -398,17 +455,17 @@ std::unique_ptr<Prefilter> AttachPrefilter(const IdfMeasure& measure,
                                            const InvertedIndex& index) {
   if (!index.has_sketches()) return nullptr;
   const SetId begin = index.sketch_begin();
+  std::unique_ptr<ThreadPool> pool =
+      MakeBuildPool(index.options(), index.total_postings());
   return Prefilter::Build(measure, index.sketch_params(),
                           index.sketch_signatures(), begin,
-                          begin + static_cast<SetId>(index.sketch_num_sets()));
+                          begin + static_cast<SetId>(index.sketch_num_sets()),
+                          pool.get());
 }
 
 size_t Prefilter::DerivedBytes() const {
-  size_t bytes = seeds_.size() * sizeof(uint64_t) + router_.SizeBytes();
-  for (const auto& table : bands_) {
-    bytes += table.size() * sizeof(BandEntry);
-  }
-  return bytes;
+  return seeds_.size() * sizeof(uint64_t) + router_.SizeBytes() +
+         static_cast<size_t>(params_.bands) * num_sets_ * sizeof(BandEntry);
 }
 
 }  // namespace simsel::sketch

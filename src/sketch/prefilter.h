@@ -12,9 +12,32 @@
 
 namespace simsel {
 class InvertedIndex;
+class ThreadPool;
 }  // namespace simsel
 
 namespace simsel::sketch {
+
+/// One banding-table entry. The set's normalized length rides along so the
+/// probe loop screens hits against the query's length window and partition
+/// mask sequentially, without a random set_length read per hit.
+struct BandEntry {
+  uint64_t key;
+  uint32_t row;
+  float len;
+  bool operator<(const BandEntry& o) const {
+    return key != o.key ? key < o.key : row < o.row;
+  }
+};
+
+/// Sorts entries[0, n) by (key, row) in O(n) for hashed keys: a stable
+/// counting sort on the top min(16, ceil(log2 n)) key bits — about one entry
+/// per bucket — then each bucket sorted in place (insertion sort; a
+/// comparison sort only for a bucket of more than 32 entries, which takes
+/// many sets with equal band components). n fits in 32 bits, as rows do.
+/// `scratch` is reusable working memory; its contents on return are
+/// unspecified.
+void SortBandTable(BandEntry* entries, size_t n,
+                   std::vector<BandEntry>* scratch);
 
 /// Per-query screen for dynamic-index delta records (which live outside the
 /// banding tables): window test, impossible-intersection test, then a
@@ -87,11 +110,14 @@ class Prefilter {
   /// the persisted signatures of sets [begin, end). `signatures` holds
   /// (end - begin) rows of params.k words, row i belonging to set begin + i;
   /// it is borrowed and must outlive the Prefilter (the InvertedIndex owns
-  /// it). Returns null when params are invalid or the range is empty.
+  /// it). The band tables are built on `pool` when given, else on the
+  /// calling thread; they are identical either way. Returns null when
+  /// params are invalid or the range is empty.
   static std::unique_ptr<Prefilter> Build(const IdfMeasure& measure,
                                           const SketchParams& params,
                                           const uint64_t* signatures,
                                           SetId begin, SetId end,
+                                          ThreadPool* pool = nullptr,
                                           uint32_t partitions = 32,
                                           uint32_t buckets = 64);
 
@@ -133,20 +159,10 @@ class Prefilter {
   double epsilon_ = 0.0;
   double j_engage_ = 0.0;
   PartitionRouter router_;
-  // One banding-table entry. The set's normalized length rides along so the
-  // probe loop screens hits against the query's length window and partition
-  // mask sequentially, without a random set_length read per hit.
-  struct BandEntry {
-    uint64_t key;
-    uint32_t row;
-    float len;
-    bool operator<(const BandEntry& o) const {
-      return key != o.key ? key < o.key : row < o.row;
-    }
-  };
-  // Banding tables: per band, entries sorted by (key, row); probing one
-  // band is a binary search followed by a sequential run scan.
-  std::vector<std::vector<BandEntry>> bands_;
+  // Banding tables, band b at [b * num_sets_, (b + 1) * num_sets_): per
+  // band, entries sorted by (key, row); probing one band is a binary search
+  // followed by a sequential run scan.
+  std::unique_ptr<BandEntry[]> bands_;
 };
 
 /// True for the kinds the tier may answer: the index-kernel kinds. The
@@ -164,7 +180,9 @@ inline bool PrefilterEligible(AlgorithmKind kind) {
 }
 
 /// Builds the tier from an index's persisted sketch section over the
-/// measure's collection; null when the index carries no sketches.
+/// measure's collection; null when the index carries no sketches. The band
+/// tables are built on MakeBuildPool(index.options(), index.total_postings())
+/// — the same thread rule as the index build.
 std::unique_ptr<Prefilter> AttachPrefilter(const IdfMeasure& measure,
                                            const InvertedIndex& index);
 

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -184,6 +186,34 @@ TEST(IndexVersionTest, CompressedPayloadMateriallySmaller) {
   EXPECT_GT(v4.sketch_payload_bytes,
             kRecords * index.sketch_params().k * sizeof(uint64_t) - 1);
   EXPECT_LT(v4.file_bytes - v4.sketch_payload_bytes, v2.file_bytes);
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// Every build pass is deterministic per token, set or band, so the thread
+// count must not leak into the saved image — the sketch section included.
+TEST(IndexVersionTest, LatestImageIsIndependentOfBuildThreads) {
+  std::vector<std::string> records = MakeWordRecords(kRecords, 0xFEED);
+  std::vector<std::string> images;
+  for (size_t threads : {1, 4}) {
+    BuildOptions build = TestBuild();
+    build.index.build_threads = threads;
+    SimilaritySelector sel = SimilaritySelector::Build(records, build);
+    ASSERT_TRUE(sel.index().has_sketches());
+    std::string path = ::testing::TempDir() + "index_version_test_threads" +
+                       std::to_string(threads) + ".simsel";
+    ASSERT_TRUE(sel.SaveIndex(path, InvertedIndex::kVersionLatest).ok());
+    images.push_back(ReadFileBytes(path));
+    std::remove(path.c_str());
+  }
+  ASSERT_FALSE(images[0].empty());
+  EXPECT_TRUE(images[0] == images[1])
+      << "v4 images differ between build_threads 1 and 4 ("
+      << images[0].size() << " vs " << images[1].size() << " bytes)";
 }
 
 }  // namespace

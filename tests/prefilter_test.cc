@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/internal.h"
 #include "core/selector.h"
+#include "index/inverted_index.h"
 #include "obs/metrics_registry.h"
 #include "sketch/minhash.h"
 #include "sketch/partition_router.h"
@@ -93,6 +96,98 @@ TEST(MinHashTest, EstimateTracksTrueJaccard) {
               3.0 * std::sqrt(truth * (1 - truth) / p.k));
   // Identical and disjoint sets hit the extremes exactly.
   EXPECT_DOUBLE_EQ(sketch::EstimateJaccard(sa.data(), sa.data(), p.k), 1.0);
+}
+
+// Token-major reference: every component updated per token. The
+// component-major ComputeSignature must match it bit for bit.
+void ReferenceSignature(const uint32_t* tokens, size_t n,
+                        const std::vector<uint64_t>& seeds, uint64_t* out) {
+  const size_t k = seeds.size();
+  for (size_t i = 0; i < k; ++i) out[i] = UINT64_MAX;
+  for (size_t j = 0; j < n; ++j) {
+    const uint64_t base = sketch::Mix64(tokens[j] + 0x9E3779B97F4A7C15ULL);
+    for (size_t i = 0; i < k; ++i) {
+      const uint64_t h = sketch::Mix64(base ^ seeds[i]);
+      if (h < out[i]) out[i] = h;
+    }
+  }
+}
+
+TEST(MinHashTest, SignatureMatchesTokenMajorReference) {
+  sketch::SketchParams p;
+  const std::vector<uint64_t> seeds = sketch::ComponentSeeds(p);
+  Rng rng(2718);
+  std::vector<std::vector<uint32_t>> sets = {{}, {7}, {5, 5, 5}, {1, 9, 1, 4}};
+  // Random sets around and well past the loop's 256-token chunk, half of
+  // them drawn from a small range so tokens repeat.
+  for (size_t n : {2, 31, 255, 256, 257, 600, 3000}) {
+    for (uint64_t range : {uint64_t{1} << 32, uint64_t{64}}) {
+      std::vector<uint32_t> tokens(n);
+      for (uint32_t& t : tokens) {
+        t = static_cast<uint32_t>(rng.NextBounded(range));
+      }
+      sets.push_back(std::move(tokens));
+    }
+  }
+  for (const std::vector<uint32_t>& tokens : sets) {
+    std::vector<uint64_t> expected(p.k), actual(p.k);
+    ReferenceSignature(tokens.data(), tokens.size(), seeds, expected.data());
+    sketch::ComputeSignature(tokens.data(), tokens.size(), seeds,
+                             actual.data());
+    EXPECT_EQ(expected, actual) << tokens.size() << " tokens";
+  }
+}
+
+// std::sort over (key, row) is the order the band tables are defined by.
+void ExpectSortsLikeStdSort(std::vector<sketch::BandEntry> entries,
+                            const std::string& what) {
+  std::vector<sketch::BandEntry> expected = entries;
+  std::sort(expected.begin(), expected.end());
+  std::vector<sketch::BandEntry> scratch;
+  sketch::SortBandTable(entries.data(), entries.size(), &scratch);
+  ASSERT_EQ(entries.size(), expected.size()) << what;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    ASSERT_EQ(entries[i].key, expected[i].key) << what << " at " << i;
+    ASSERT_EQ(entries[i].row, expected[i].row) << what << " at " << i;
+    ASSERT_EQ(entries[i].len, expected[i].len) << what << " at " << i;
+  }
+}
+
+TEST(BandTableSortTest, MatchesStdSort) {
+  Rng rng(31337);
+  // Entries in row order (as the build writes them) or shuffled.
+  auto make = [&rng](size_t n, bool shuffle, auto key_of) {
+    std::vector<sketch::BandEntry> entries(n);
+    for (size_t row = 0; row < n; ++row) {
+      entries[row] = {key_of(row), static_cast<uint32_t>(row),
+                      static_cast<float>(row % 7)};
+    }
+    if (shuffle) {
+      for (size_t i = n; i > 1; --i) {
+        std::swap(entries[i - 1], entries[rng.NextBounded(i)]);
+      }
+    }
+    return entries;
+  };
+  const auto hashed = [](size_t row) { return sketch::Mix64(row); };
+  const auto equal = [](size_t) { return uint64_t{0xABCDEF0123456789ULL}; };
+  const auto shared_prefix = [&rng](size_t) {
+    return (uint64_t{0xBEEF} << 48) | (rng.NextU64() >> 16);
+  };
+  const auto few = [](size_t row) { return sketch::Mix64(row % 5); };
+  for (bool shuffle : {false, true}) {
+    const std::string order = shuffle ? " shuffled" : " in row order";
+    ExpectSortsLikeStdSort(make(0, shuffle, hashed), "n=0" + order);
+    ExpectSortsLikeStdSort(make(1, shuffle, hashed), "n=1" + order);
+    ExpectSortsLikeStdSort(make(3000, shuffle, equal), "all equal" + order);
+    ExpectSortsLikeStdSort(make(3000, shuffle, shared_prefix),
+                           "shared top 16 bits" + order);
+    ExpectSortsLikeStdSort(make(3000, shuffle, few), "5 distinct" + order);
+    for (size_t n : {2, 3, 100, 70000}) {
+      ExpectSortsLikeStdSort(make(n, shuffle, hashed),
+                             "distinct n=" + std::to_string(n) + order);
+    }
+  }
 }
 
 // The router's admission bound is an upper bound on the true score: no set
@@ -183,6 +278,56 @@ TEST(PrefilterBuildTest, RejectsInvalidInputs) {
   // Empty range: nothing to filter.
   EXPECT_EQ(sketch::Prefilter::Build(sel.measure(), ok, nullptr, 5, 5),
             nullptr);
+}
+
+// The band tables built on a pool must equal the ones built on the calling
+// thread: every engaged query then sees the same candidates in the same
+// order, so matches and every tier counter agree exactly.
+TEST(PrefilterBuildTest, ParallelBuildMatchesSerial) {
+  const std::vector<std::string> records = MakeWordRecords(34000, 1717);
+  auto build = [&records](size_t threads) {
+    BuildOptions options;
+    options.tokenizer.q = 3;
+    options.index.build_threads = threads;
+    return SimilaritySelector::Build(records, options);
+  };
+  const SimilaritySelector serial = build(1);
+  const SimilaritySelector parallel = build(4);
+  // Large enough that the automatic rule would build in parallel too.
+  ASSERT_GE(serial.index().total_postings(), kParallelBuildThreshold);
+  ASSERT_NE(serial.prefilter(), nullptr);
+  ASSERT_NE(parallel.prefilter(), nullptr);
+  EXPECT_EQ(serial.prefilter()->DerivedBytes(),
+            parallel.prefilter()->DerivedBytes());
+  size_t engaged = 0;
+  for (SetId s = 0; s < 30; ++s) {
+    const std::string text = serial.collection().text(s * 1103);
+    const PreparedQuery qa = serial.Prepare(text);
+    const PreparedQuery qb = parallel.Prepare(text);
+    for (double tau : {0.7, 0.9}) {
+      const std::string what = text + " tau=" + std::to_string(tau);
+      QueryResult a, b;
+      const bool ea = serial.prefilter()->TrySelect(qa, tau, {}, &a);
+      const bool eb = parallel.prefilter()->TrySelect(qb, tau, {}, &b);
+      ASSERT_EQ(ea, eb) << what;
+      if (!ea) continue;
+      if (tau == 0.9 && !a.matches.empty()) ++engaged;
+      ASSERT_EQ(a.matches.size(), b.matches.size()) << what;
+      for (size_t i = 0; i < a.matches.size(); ++i) {
+        EXPECT_EQ(a.matches[i].id, b.matches[i].id) << what;
+        EXPECT_EQ(a.matches[i].score, b.matches[i].score) << what;
+      }
+      EXPECT_EQ(a.counters.hash_probes, b.counters.hash_probes) << what;
+      EXPECT_EQ(a.counters.candidate_scan_steps,
+                b.counters.candidate_scan_steps) << what;
+      EXPECT_EQ(a.counters.candidate_inserts, b.counters.candidate_inserts)
+          << what;
+      EXPECT_EQ(a.counters.candidate_prunes, b.counters.candidate_prunes)
+          << what;
+      EXPECT_EQ(a.counters.rows_scanned, b.counters.rows_scanned) << what;
+    }
+  }
+  EXPECT_GT(engaged, 5u);
 }
 
 TEST(PrefilterBuildTest, DisablingSketchesAtBuildDropsTheTier) {

@@ -124,6 +124,31 @@ TEST(RobustnessTest, SavedIndexRejectsMismatchedRecords) {
   std::remove(path.c_str());
 }
 
+// Empty records add no postings and no tokens, so an image built over two
+// more of them passes the posting and token checks, yet its sketch section
+// has two more rows than the collection has sets. Loading it must fail
+// instead of letting the prefilter read past the collection.
+TEST(RobustnessTest, SavedIndexRejectsWiderSketchSection) {
+  std::vector<std::string> records =
+      testing_util::MakeWordRecords(100, /*seed=*/34);
+  std::vector<std::string> padded = records;
+  padded.push_back("");
+  padded.push_back("");
+  SimilaritySelector original = SimilaritySelector::Build(padded);
+  ASSERT_TRUE(original.index().has_sketches());
+  ASSERT_EQ(original.index().sketch_num_sets(), records.size() + 2);
+  std::string path = TempPath("simsel_sketch_mismatch.idx");
+  ASSERT_TRUE(original.SaveIndex(path).ok());
+
+  Result<SimilaritySelector> loaded =
+      SimilaritySelector::BuildWithSavedIndex(records, path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  // The image still loads over the records it was built from.
+  EXPECT_TRUE(SimilaritySelector::BuildWithSavedIndex(padded, path).ok());
+  std::remove(path.c_str());
+}
+
 TEST(RobustnessTest, TruncatedIndexFilesNeverCrash) {
   std::vector<std::string> records =
       testing_util::MakeWordRecords(80, /*seed=*/35);
