@@ -81,6 +81,7 @@ int Main(int argc, char** argv) {
   BenchEnvOptions env_opts;
   env_opts.num_words = FlagValue(argc, argv, "words", 50000);
   env_opts.with_sql_baseline = false;
+  env_opts.with_sketches = true;  // the tier under test is opt-in
   const size_t num_queries = FlagValue(argc, argv, "queries", 100);
   std::printf("Building env over %zu word occurrences...\n",
               env_opts.num_words);

@@ -149,18 +149,18 @@ constexpr char kHelp[] =
     "                    shed immediately with a SHED response; 0 = no\n"
     "                    bound, default 64\n"
     "  --index-version=N (build) serialized index format: 4 (default;\n"
-    "                    compressed posting blocks + sketch section), 3\n"
-    "                    (compressed blocks, no sketches) or 2 (legacy\n"
-    "                    uncompressed, for migration); `query`/`repl` read\n"
-    "                    all three\n"
-    "  --sketch-k=N      (build) MinHash signature components per set for\n"
-    "                    the prefilter tier (default 256; 0 disables the\n"
-    "                    sketch section entirely)\n"
-    "  --no-sketches     (build) same as --sketch-k=0\n"
-    "  --no-prefilter    (query/repl/serve) answer with the exact kernels\n"
-    "                    only, never the sketch tier; results are identical\n"
-    "                    either way (the tier is exact), so this is for\n"
-    "                    accounting and ablation\n"
+    "                    compressed posting blocks + a sketch section, empty\n"
+    "                    unless --sketch-k is given), 3 (compressed blocks,\n"
+    "                    no sketches) or 2 (legacy uncompressed, for\n"
+    "                    migration); `query`/`repl` read all three\n"
+    "  --sketch-k=N      (build) opt in to the MinHash prefilter tier with N\n"
+    "                    signature components per set (8N bytes each; 256\n"
+    "                    is the tuned family); default 0 = no sketches\n"
+    "  --no-prefilter    (query/repl/serve) on an image that carries\n"
+    "                    sketches, answer with the exact kernels only,\n"
+    "                    never the sketch tier; results are identical either\n"
+    "                    way (the tier is exact), so this is for accounting\n"
+    "                    and ablation\n"
     "  --words=N         synthetic corpus size for --explain / --stats\n"
     "  --explain         with `query`: print the per-phase trace\n"
     "  --trace-out=FILE  (query/serve) record a span trace of each query and\n"
@@ -776,13 +776,11 @@ int main(int argc, char** argv) {
     }
     BuildOptions build_opts;
     size_t sketch_k;
-    if (!StrictCount(argc, argv, "sketch-k", build_opts.index.sketch.k, 0,
-                     1u << 16, &sketch_k)) {
+    if (!StrictCount(argc, argv, "sketch-k", 0, 0, 1u << 16, &sketch_k)) {
       return 2;
     }
-    if (sketch_k == 0 || HasFlag(argc, argv, "--no-sketches")) {
-      build_opts.index.build_sketches = false;
-    } else {
+    if (sketch_k > 0) {
+      build_opts.index.build_sketches = true;
       build_opts.index.sketch.k = static_cast<uint32_t>(sketch_k);
       // Keep bands * rows <= k as k shrinks; fewer bands raise the engage
       // bar rather than invalidating the family (see sketch/minhash.h).

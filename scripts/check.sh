@@ -47,8 +47,8 @@
 #      query benchmark — mean or p99 — or on the selector build time fails
 #      the gate.
 #   9. Prefilter exactness gate: the same plain build runs bench_prefilter
-#      (every query compared tier-on vs tier-off across all algorithms and
-#      thresholds) and scripts/bench_compare.py --prefilter-gate enforces
+#      (which opts in to the sketch tier; every query compared tier-on vs
+#      tier-off across all algorithms and thresholds) and scripts/bench_compare.py --prefilter-gate enforces
 #      the artifact's claims — all cells byte-identical and the SF tau=0.9
 #      elements-read reduction at least 2x.
 #  10. Benchmark smoke: python3 simbench/run.py runs each of the three

@@ -23,15 +23,12 @@ bool CandBefore(const Candidate& c, float dl, uint32_t id) {
 }
 
 InvertedIndex BuildBm25Index(const Bm25Measure& measure,
-                             InvertedIndexOptions options) {
+                             const InvertedIndexOptions& options) {
   const Collection& collection = measure.collection();
   std::vector<float> lengths(collection.size());
   for (SetId s = 0; s < collection.size(); ++s) {
     lengths[s] = static_cast<float>(measure.doc_length(s));
   }
-  // The sketch prefilter tier is IDF-selection-only; don't pay for
-  // signatures this selector never consults.
-  options.build_sketches = false;
   return InvertedIndex::BuildWithLengths(collection, lengths, options);
 }
 

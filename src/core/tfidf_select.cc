@@ -29,15 +29,12 @@ bool CandBefore(const Candidate& c, float len, uint32_t id) {
 namespace {
 
 InvertedIndex BuildTfIdfIndex(const TfIdfMeasure& measure,
-                              InvertedIndexOptions options) {
+                              const InvertedIndexOptions& options) {
   const Collection& collection = measure.collection();
   std::vector<float> lengths(collection.size());
   for (SetId s = 0; s < collection.size(); ++s) {
     lengths[s] = measure.set_length(s);
   }
-  // The sketch prefilter tier is IDF-selection-only; don't pay for
-  // signatures this selector never consults.
-  options.build_sketches = false;
   return InvertedIndex::BuildWithLengths(collection, lengths, options);
 }
 

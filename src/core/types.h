@@ -148,12 +148,15 @@ struct SelectOptions {
   /// candidate (Section V's bookkeeping reductions).
   bool lazy_candidate_scan = true;
   /// Consult the MinHash sketch prefilter tier (src/sketch/) before the
-  /// exact kernel. When the index carries sketches and the query's engage
-  /// gate clears, the tier answers the query itself — banding candidate
-  /// generation, partition routing, then exact verification of every
-  /// admitted candidate, so the matches are byte-identical to the kernel's
-  /// (see docs/SKETCHES.md for the exactness argument). Otherwise the query
-  /// falls through unchanged. Ignored by the unindexed baselines
+  /// exact kernel. Only an index built with the opt-in
+  /// InvertedIndexOptions::build_sketches, or loaded from an image that
+  /// carries a sketch section, has a tier; on any other index this flag
+  /// changes nothing. When the index carries sketches and the query's
+  /// engage gate clears, the tier answers the query itself — banding
+  /// candidate generation, partition routing, then exact verification of
+  /// every admitted candidate, so the matches are byte-identical to the
+  /// kernel's (see docs/SKETCHES.md for the exactness argument). Otherwise
+  /// the query falls through unchanged. Ignored by the unindexed baselines
   /// (scan/SQL/sort-by-id).
   bool prefilter = true;
   /// Optional cache simulator: when set, every list page and hash bucket

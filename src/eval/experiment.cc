@@ -30,6 +30,7 @@ BenchEnv MakeBenchEnv(const BenchEnvOptions& options) {
   build.tokenizer.kind = TokenizerKind::kQGram;
   build.tokenizer.q = options.qgram;
   build.build_sql_baseline = options.with_sql_baseline;
+  build.index.build_sketches = options.with_sketches;
   env.selector = std::make_unique<SimilaritySelector>(
       SimilaritySelector::Build(env.words, build));
   return env;

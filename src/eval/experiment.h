@@ -28,6 +28,8 @@ struct BenchEnvOptions {
   size_t vocab_size = 30000;
   uint64_t seed = 42;
   bool with_sql_baseline = false;
+  /// Build the sketch prefilter tier (InvertedIndexOptions::build_sketches).
+  bool with_sketches = false;
   int qgram = 3;
 };
 

@@ -44,9 +44,13 @@ struct InvertedIndexOptions {
   /// Build per-list extendible hashes (needed by TA/iTA random access).
   bool build_hash = true;
   /// Build per-set MinHash signatures for the sketch prefilter tier
-  /// (src/sketch/). Persisted in the version-4 index image; without them
-  /// SelectOptions::prefilter silently falls through to the exact kernels.
-  bool build_sketches = true;
+  /// (src/sketch/). Off by default: every admitted set still needs exact
+  /// verification, and the Theorem-1 window already bounds the exact
+  /// kernels, so the tier costs more time and bytes than it saves (see
+  /// docs/SKETCHES.md). Persisted in the version-4 index image; without
+  /// them SelectOptions::prefilter silently falls through to the exact
+  /// kernels.
+  bool build_sketches = false;
   /// Sketch family parameters (see sketch/minhash.h). Fixed default seed so
   /// two builds of one collection produce identical sketch sections.
   sketch::SketchParams sketch;

@@ -24,10 +24,13 @@ using testing_util::MakeWordRecords;
 
 constexpr size_t kRecords = 600;
 
+// Opts in to the sketch tier so the latest image carries a sketch section
+// for the payload and determinism cases below.
 BuildOptions TestBuild() {
   BuildOptions build;
   build.tokenizer.q = 3;
   build.build_sql_baseline = true;
+  build.index.build_sketches = true;
   build.index.page_bytes = 512;
   build.index.skip_fanout = 8;
   build.index.hash_page_bytes = 256;

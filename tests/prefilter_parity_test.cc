@@ -39,13 +39,21 @@ const AlgorithmKind kAllKinds[] = {
 
 const double kTaus[] = {0.5, 0.7, 0.9, 0.95};
 
+// The tier is opt-in: every selector under test here asks for it.
+BuildOptions SketchedBuild() {
+  BuildOptions build;
+  build.index.build_sketches = true;
+  return build;
+}
+
 std::string Ctx(AlgorithmKind kind, double tau, const char* mode) {
   return std::string(AlgorithmKindName(kind)) + " tau=" + std::to_string(tau) +
          " " + mode;
 }
 
 TEST(PrefilterParityTest, MemoryModeAllAlgorithms) {
-  SimilaritySelector sel = MakeSelector(400, 4242, /*with_sql=*/true);
+  SimilaritySelector sel = MakeSelector(400, 4242, /*with_sql=*/true,
+                                        /*with_sketches=*/true);
   ASSERT_NE(sel.prefilter(), nullptr);
   std::vector<std::string> queries;
   for (SetId s = 0; s < 15; ++s) queries.push_back(sel.collection().text(s * 9));
@@ -68,7 +76,8 @@ TEST(PrefilterParityTest, MemoryModeAllAlgorithms) {
 }
 
 TEST(PrefilterParityTest, DiskModeAllAlgorithms) {
-  SimilaritySelector sel = MakeSelector(300, 555, /*with_sql=*/false);
+  SimilaritySelector sel = MakeSelector(300, 555, /*with_sql=*/false,
+                                        /*with_sketches=*/true);
   ASSERT_NE(sel.prefilter(), nullptr);
   PostingStore store = PostingStore::Build(sel.index());
   SelectOptions on, off;
@@ -95,7 +104,8 @@ TEST(PrefilterParityTest, DiskModeAllAlgorithms) {
 // through the DeltaScreen, both before and after a Rebuild folds them in.
 TEST(PrefilterParityTest, DynamicWithDeltaRecords) {
   std::vector<std::string> records = MakeWordRecords(250, 888);
-  DynamicSelector dyn(records);
+  DynamicSelector dyn(records, SketchedBuild());
+  ASSERT_NE(dyn.snapshot().main().prefilter(), nullptr);
   // Append near-duplicates of existing records so the delta actually holds
   // answers at high thresholds.
   for (SetId s = 0; s < 25; ++s) dyn.AddRecord(records[s * 7]);
@@ -130,6 +140,7 @@ TEST(PrefilterParityTest, ShardedScatterGather) {
   serve::ShardedSelectorOptions opts;
   opts.num_shards = 4;
   opts.build.tokenizer.q = 3;
+  opts.build.index.build_sketches = true;
   serve::ShardedSelector sharded = serve::ShardedSelector::Build(records, opts);
   SimilaritySelector flat =
       SimilaritySelector::Build(records, opts.build);
@@ -157,7 +168,7 @@ TEST(PrefilterParityTest, ShardedScatterGather) {
 // persisted sketch section and answers identically.
 TEST(PrefilterParityTest, SurvivesSaveLoadRoundTrip) {
   std::vector<std::string> records = MakeWordRecords(300, 1234);
-  BuildOptions build;
+  BuildOptions build = SketchedBuild();
   build.tokenizer.q = 3;
   SimilaritySelector built = SimilaritySelector::Build(records, build);
   ASSERT_NE(built.prefilter(), nullptr);
@@ -186,7 +197,8 @@ TEST(PrefilterParityTest, SurvivesSaveLoadRoundTrip) {
 // mutable state is the dynamic selector's own (already TSAN-clean) core.
 TEST(PrefilterParityTest, ConcurrentMixedOnOffReaders) {
   std::vector<std::string> records = MakeWordRecords(200, 321);
-  DynamicSelector dyn(records);
+  DynamicSelector dyn(records, SketchedBuild());
+  ASSERT_NE(dyn.snapshot().main().prefilter(), nullptr);
   std::atomic<bool> stop{false};
   std::atomic<size_t> checked{0};
 

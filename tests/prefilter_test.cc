@@ -239,7 +239,8 @@ TEST(PartitionRouterTest, MaxSetSizeBelowIsAnUpperBound) {
 // The engage gate: high thresholds clear the Jaccard bar and the tier
 // answers; low thresholds provably cannot and it falls through.
 TEST(PrefilterPlanTest, EngagesAtHighTauFallsThroughAtLow) {
-  SimilaritySelector sel = MakeSelector(400, 31, /*with_sql=*/false);
+  SimilaritySelector sel = MakeSelector(400, 31, /*with_sql=*/false,
+                                        /*with_sketches=*/true);
   ASSERT_NE(sel.prefilter(), nullptr);
   const sketch::Prefilter& pf = *sel.prefilter();
   size_t engaged_high = 0, probed = 0;
@@ -289,6 +290,7 @@ TEST(PrefilterBuildTest, ParallelBuildMatchesSerial) {
     BuildOptions options;
     options.tokenizer.q = 3;
     options.index.build_threads = threads;
+    options.index.build_sketches = true;
     return SimilaritySelector::Build(records, options);
   };
   const SimilaritySelector serial = build(1);
@@ -350,6 +352,7 @@ TEST(PrefilterBuildTest, DisablingSketchesAtBuildDropsTheTier) {
 TEST(PrefilterAdversarialTest, SmallKStaysExactAndMeasuresFalsePositives) {
   BuildOptions build;
   build.tokenizer.q = 3;
+  build.index.build_sketches = true;
   build.index.sketch.k = 16;
   build.index.sketch.bands = 16;
   build.index.sketch.rows = 1;
@@ -414,7 +417,8 @@ TEST(PrefilterAdversarialTest, SmallKStaysExactAndMeasuresFalsePositives) {
 // The delta screen must admit every true answer regardless of similarity
 // level (it is Hoeffding-sound at any J, unlike the banding stage).
 TEST(DeltaScreenTest, AdmitsEveryTrueAnswer) {
-  SimilaritySelector sel = MakeSelector(250, 123, /*with_sql=*/false);
+  SimilaritySelector sel = MakeSelector(250, 123, /*with_sql=*/false,
+                                        /*with_sketches=*/true);
   ASSERT_NE(sel.prefilter(), nullptr);
   const sketch::Prefilter& pf = *sel.prefilter();
   const std::vector<uint64_t>& seeds = pf.seeds();

@@ -134,7 +134,9 @@ TEST(RobustnessTest, SavedIndexRejectsWiderSketchSection) {
   std::vector<std::string> padded = records;
   padded.push_back("");
   padded.push_back("");
-  SimilaritySelector original = SimilaritySelector::Build(padded);
+  BuildOptions build;
+  build.index.build_sketches = true;
+  SimilaritySelector original = SimilaritySelector::Build(padded, build);
   ASSERT_TRUE(original.index().has_sketches());
   ASSERT_EQ(original.index().sketch_num_sets(), records.size() + 2);
   std::string path = TempPath("simsel_sketch_mismatch.idx");

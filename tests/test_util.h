@@ -28,12 +28,15 @@ inline std::vector<std::string> MakeWordRecords(size_t n, uint64_t seed) {
   return GenerateCorpus(o).records;
 }
 
-/// Builds a selector over word records with every structure enabled.
+/// Builds a selector over word records with every structure enabled; the
+/// opt-in sketch tier only when `with_sketches` is set.
 inline SimilaritySelector MakeSelector(size_t n, uint64_t seed,
-                                       bool with_sql = true) {
+                                       bool with_sql = true,
+                                       bool with_sketches = false) {
   BuildOptions build;
   build.tokenizer.q = 3;
   build.build_sql_baseline = with_sql;
+  build.index.build_sketches = with_sketches;
   // Small pages so page accounting and skip indexes are exercised even on
   // test-sized lists.
   build.index.page_bytes = 512;
