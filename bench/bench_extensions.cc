@@ -16,11 +16,9 @@
 #include "core/adaptive.h"
 #include "core/linear_scan.h"
 #include "core/parallel.h"
-#include "core/sort_by_id.h"
 #include "core/tfidf_select.h"
 #include "core/topk.h"
 #include "gen/workload.h"
-#include "index/compressed_lists.h"
 #include "sim/tfidf.h"
 
 namespace simsel {
@@ -145,30 +143,6 @@ int Main(int argc, char** argv) {
     }
     PrintTable("Extension 4: adaptive planner choices",
                {"Sweep", "SF", "sort-by-id"}, rows);
-  }
-
-  // (6) Compressed vs raw sort-by-id merge.
-  {
-    CompressedIdLists compressed = CompressedIdLists::Build(sel.index());
-    std::vector<std::vector<std::string>> rows;
-    double raw_ms = 0, comp_ms = 0;
-    for (const std::string& query : wl.queries) {
-      PreparedQuery q = sel.Prepare(query);
-      WallTimer t1;
-      SortByIdSelect(sel.index(), sel.measure(), q, 0.8);
-      raw_ms += t1.ElapsedMillis();
-      WallTimer t2;
-      SortByIdCompressedSelect(compressed, sel.measure(), q, 0.8);
-      comp_ms += t2.ElapsedMillis();
-    }
-    double nq = static_cast<double>(wl.queries.size());
-    rows.push_back(
-        {"raw 8B postings", Fmt(raw_ms / nq),
-         bench::FmtMb(sel.index().ListBytesOneOrder())});
-    rows.push_back({"delta-varint", Fmt(comp_ms / nq),
-                    bench::FmtMb(compressed.SizeBytes())});
-    PrintTable("Extension 6: compressed id lists (sort-by-id, tau=0.8)",
-               {"Encoding", "ms/q", "MB"}, rows);
   }
 
   // (5) Batch-parallel throughput.

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "index/compressed_lists.h"
 #include "storage/block_codec.h"
 #include "storage/codec.h"
 
@@ -102,8 +101,8 @@ int Main(int argc, char** argv) {
               opts.num_words);
   BenchEnv env = MakeBenchEnv(opts);
   IndexSizeReport sizes = env.selector->Sizes();
-  CompressedIdLists compressed =
-      CompressedIdLists::Build(env.selector->index());
+  const IndexFileStats v3_blocks =
+      env.selector->index().EncodedStats(InvertedIndex::kVersionBlocks);
 
   bench::PrintTable(
       "Figure 5: index components (MB)",
@@ -115,8 +114,8 @@ int Main(int argc, char** argv) {
           {"Inverted lists (both orders)", bench::FmtMb(sizes.inverted_lists)},
           {"Skip lists", bench::FmtMb(sizes.skip_lists)},
           {"Extendible hashing", bench::FmtMb(sizes.extendible_hash)},
-          {"Compressed id lists (extension)",
-           bench::FmtMb(compressed.SizeBytes())},
+          {"By-id gap varints (v3 image payload)",
+           bench::FmtMb(v3_blocks.id_payload_bytes)},
       });
 
   // Per-algorithm stacks as in the figure's x-axis.

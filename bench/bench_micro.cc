@@ -1,9 +1,10 @@
 // Micro-benchmarks of the substrate containers (google-benchmark): skip
-// index seeks, extendible hash probes, B+-tree seeks and scans, loser-tree
-// merging, tokenization, and single-query latencies of the main algorithms.
+// index seeks, extendible hash probes, B+-tree seeks and scans,
+// tokenization, and single-query latencies of the main algorithms.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 
@@ -13,10 +14,8 @@
 #include "common/timer.h"
 #include "container/extendible_hash.h"
 #include "core/dynamic.h"
-#include "container/loser_tree.h"
 #include "container/skip_index.h"
 #include "eval/experiment.h"
-#include "index/compressed_lists.h"
 #include "simd/kernels.h"
 #include "storage/posting_store.h"
 #include "text/tokenizer.h"
@@ -108,59 +107,6 @@ void BM_BPlusTreeScan1K(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BPlusTreeScan1K);
-
-void BM_LoserTreeMerge(benchmark::State& state) {
-  const size_t k = static_cast<size_t>(state.range(0));
-  Rng rng(7);
-  std::vector<std::vector<uint32_t>> lists(k);
-  for (auto& list : lists) {
-    for (int i = 0; i < 2000; ++i) {
-      list.push_back(static_cast<uint32_t>(rng.NextBounded(1u << 30)));
-    }
-    std::sort(list.begin(), list.end());
-  }
-  for (auto _ : state) {
-    LoserTree<uint32_t> tree(k);
-    std::vector<size_t> pos(k, 0);
-    for (size_t i = 0; i < k; ++i) tree.SetInitial(i, lists[i][0], true);
-    tree.Build();
-    uint64_t sum = 0;
-    while (!tree.empty()) {
-      size_t i = tree.top_source();
-      sum += tree.top_key();
-      ++pos[i];
-      bool valid = pos[i] < lists[i].size();
-      tree.Replace(valid ? lists[i][pos[i]] : 0, valid);
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_LoserTreeMerge)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_CompressedDecode(benchmark::State& state) {
-  BenchEnvOptions opts;
-  opts.num_words = 20000;
-  static BenchEnv* env = new BenchEnv(MakeBenchEnv(opts));
-  static CompressedIdLists* lists =
-      new CompressedIdLists(CompressedIdLists::Build(env->selector->index()));
-  // Longest list.
-  static TokenId token = [] {
-    TokenId best = 0;
-    const InvertedIndex& idx = env->selector->index();
-    for (TokenId t = 0; t < idx.num_tokens(); ++t) {
-      if (idx.ListSize(t) > idx.ListSize(best)) best = t;
-    }
-    return best;
-  }();
-  for (auto _ : state) {
-    uint64_t sum = 0;
-    for (auto c = lists->OpenList(token); c.Valid(); c.Next()) sum += c.id();
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          env->selector->index().ListSize(token));
-}
-BENCHMARK(BM_CompressedDecode);
 
 void BM_PostingStoreRead(benchmark::State& state) {
   BenchEnvOptions opts;

@@ -4,9 +4,7 @@
 #include <chrono>
 #include <thread>
 
-#include "common/bitset.h"
 #include "common/logging.h"
-#include "container/loser_tree.h"
 #include "core/internal.h"
 #include "obs/trace.h"
 
@@ -106,82 +104,6 @@ QueryResult ParallelLinearScanSelect(const SimilarityMeasure& measure,
   return result;
 }
 
-namespace {
-
-// Merges one id range [lo_id, hi_id) of the query's id-sorted lists.
-void MergeIdRange(const InvertedIndex& index, const IdfMeasure& measure,
-                  const PreparedQuery& q, double tau, uint64_t lo_id,
-                  uint64_t hi_id, const QueryControl& control,
-                  QueryResult* out) {
-  const size_t n = q.tokens.size();
-  internal::ControlPoller poller(control, out->counters);
-  struct ListSlice {
-    const uint32_t* ids;
-    const float* lens;
-    size_t pos;
-    size_t end;
-  };
-  std::vector<ListSlice> lists(n);
-  LoserTree<uint32_t> tree(n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t* ids = index.IdIds(q.tokens[i]);
-    size_t size = index.ListSize(q.tokens[i]);
-    // Binary search the shard boundaries in this list.
-    size_t begin = std::lower_bound(ids, ids + size, lo_id) - ids;
-    size_t end = std::lower_bound(ids, ids + size, hi_id) - ids;
-    lists[i] = ListSlice{ids, index.IdLens(q.tokens[i]), begin, end};
-    out->counters.elements_total += end - begin;
-    bool valid = begin < end;
-    tree.SetInitial(i, valid ? ids[begin] : 0, valid);
-    if (valid) ++out->counters.elements_read;
-  }
-  tree.Build();
-
-  DynamicBitset bits(n);
-  uint32_t current = 0;
-  float current_len = 0.0f;
-  bool have_current = false;
-  auto flush = [&]() {
-    if (!have_current) return;
-    double score = measure.ScoreFromBits(q, bits, current_len);
-    if (score >= tau) out->matches.push_back(Match{current, score});
-    bits.ResetAll();
-  };
-  uint64_t pops = 0;
-  while (!tree.empty()) {
-    if ((++pops & 1023u) == 0 && poller.ShouldStop()) {
-      // Flushed matches are complete (shard ranges are id-disjoint); the
-      // merge head's bitmap is incomplete, so exact-verify it. The unread
-      // slice tails count as skipped.
-      out->termination = poller.termination();
-      for (const ListSlice& ls : lists) {
-        out->counters.elements_skipped += ls.end - ls.pos;
-      }
-      if (have_current) {
-        internal::VerifyPartialCandidates(measure, q, tau, {current}, out);
-      }
-      return;
-    }
-    size_t i = tree.top_source();
-    uint32_t id = tree.top_key();
-    if (!have_current || id != current) {
-      flush();
-      current = id;
-      current_len = lists[i].lens[lists[i].pos];
-      have_current = true;
-    }
-    bits.Set(i);
-    ListSlice& ls = lists[i];
-    ++ls.pos;
-    bool valid = ls.pos < ls.end;
-    if (valid) ++out->counters.elements_read;
-    tree.Replace(valid ? ls.ids[ls.pos] : 0, valid);
-  }
-  flush();
-}
-
-}  // namespace
-
 QueryResult ParallelSortByIdSelect(const InvertedIndex& index,
                                    const IdfMeasure& measure,
                                    const PreparedQuery& q, double tau,
@@ -210,8 +132,8 @@ QueryResult ParallelSortByIdSelect(const InvertedIndex& index,
   std::vector<QueryResult> partial(shards);
   ParallelFor(pool, shards, [&](size_t s) {
     auto [lo, hi] = internal::SortByIdShardRange(max_id, shards, s);
-    MergeIdRange(index, measure, q, tau, lo, hi, options.control,
-                 &partial[s]);
+    internal::SortByIdMergeRange(index, measure, q, tau, lo, hi,
+                                 options.control, &partial[s]);
   });
   for (QueryResult& p : partial) {
     result.counters.Merge(p.counters);

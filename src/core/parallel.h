@@ -57,15 +57,15 @@ QueryResult ParallelLinearScanSelect(const SimilarityMeasure& measure,
                                      const SelectOptions& options = {});
 
 /// Intra-query parallel sort-by-id merge: the id space is partitioned into
-/// one contiguous range per worker, each worker binary-searches its range's
-/// start in every id-sorted list and runs the standard loser-tree merge
-/// over its slice. Ranges are disjoint, so results concatenate in id order
-/// with no cross-thread coordination — the "parallel version" of the
-/// paper's Section III-B baseline. Exact same matches as SortByIdSelect.
-/// Only `options.control` is honored, with the same per-shard budget
-/// approximation as ParallelLinearScanSelect; a tripped shard reports its
-/// flushed matches (complete — shard id ranges are disjoint) plus an
-/// exact-verified merge head.
+/// one contiguous range per worker, and each worker runs SortByIdSelect's
+/// kernel (internal::SortByIdMergeRange) over its range. Ranges are
+/// disjoint, so results concatenate in id order with no cross-thread
+/// coordination — the "parallel version" of the paper's Section III-B
+/// baseline. Exact same matches, elements read and page reads as
+/// SortByIdSelect (the per-range page charges telescope to the serial
+/// per-list totals). Only `options.control` is honored, with the same
+/// per-shard budget approximation as ParallelLinearScanSelect; a tripped
+/// shard reports the matches of its finished windows.
 QueryResult ParallelSortByIdSelect(const InvertedIndex& index,
                                    const IdfMeasure& measure,
                                    const PreparedQuery& q, double tau,

@@ -73,9 +73,7 @@ double IdfMeasure::Score(const PreparedQuery& q, SetId s) const {
       pos.data());
   double sum = 0.0;
   for (size_t i = 0; i < matches; ++i) sum += q.weights[pos[i]];
-  double denom = static_cast<double>(set_len_[s]) * q.length;
-  if (denom == 0.0) return 0.0;
-  return sum / denom;
+  return ScoreFromSum(q, sum, set_len_[s]);
 }
 
 double IdfMeasure::ScoreFromBits(const PreparedQuery& q,
@@ -85,9 +83,7 @@ double IdfMeasure::ScoreFromBits(const PreparedQuery& q,
   for (size_t i = 0; i < q.tokens.size(); ++i) {
     if (bits.Test(i)) sum += q.weights[i];
   }
-  double denom = static_cast<double>(set_len) * q.length;
-  if (denom == 0.0) return 0.0;
-  return sum / denom;
+  return ScoreFromSum(q, sum, set_len);
 }
 
 }  // namespace simsel

@@ -44,6 +44,16 @@ class IdfMeasure : public SimilarityMeasure {
   double ScoreFromBits(const PreparedQuery& q, const DynamicBitset& bits,
                        float set_len) const;
 
+  /// Canonical score given `sum`, the common tokens' weights added in
+  /// ascending query-token order starting from 0.0: sum / (len(s)·len(q)).
+  /// The one place the normalization is written down; Score, ScoreFromBits
+  /// and the sort-by-id merge's accumulators all divide through it.
+  double ScoreFromSum(const PreparedQuery& q, double sum,
+                      float set_len) const {
+    double denom = static_cast<double>(set_len) * q.length;
+    return denom == 0.0 ? 0.0 : sum / denom;
+  }
+
   /// Per-list contribution w_i(s) of a set with length `set_len` on the list
   /// of q.tokens[i] (Section II): idf(q^i)² / (len(s)·len(q)).
   double Contribution(const PreparedQuery& q, size_t i, float set_len) const {

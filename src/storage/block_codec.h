@@ -11,10 +11,9 @@ namespace simsel {
 /// The one varint implementation in the tree, plus the compressed
 /// posting-block codec built on it.
 ///
-/// The low-level primitives here are shared by storage/codec.cc (the
-/// general-purpose Put*/Get* layer) and index/compressed_lists.cc (the
-/// id-sorted gap decoder), which used to carry private copies of the same
-/// LEB128 loops. The block codec encodes one summary block of by-length
+/// The low-level primitives here back storage/codec.cc (the
+/// general-purpose Put*/Get* layer), which used to carry a private copy of
+/// the same LEB128 loops. The block codec encodes one summary block of by-length
 /// postings — ids zigzag-delta-coded as varints, lengths bit-packed as
 /// fixed-width deltas over their IEEE-754 bit patterns — and is the wire
 /// format of InvertedIndex kVersion 3 and of the PostingStore page image.

@@ -130,7 +130,7 @@ TEST(ParallelSortByIdTest, MatchesSequentialMerge) {
   const SimilaritySelector& sel = Selector();
   for (size_t threads : {1u, 3u, 8u}) {
     ThreadPool pool(threads);
-    for (double tau : {0.5, 0.9}) {
+    for (double tau : {0.5, 0.8, 0.9}) {
       for (SetId s = 0; s < 10; ++s) {
         PreparedQuery q = sel.Prepare(sel.collection().text(s * 11));
         QueryResult serial =
@@ -139,11 +139,14 @@ TEST(ParallelSortByIdTest, MatchesSequentialMerge) {
             ParallelSortByIdSelect(sel.index(), sel.measure(), q, tau, &pool);
         ExpectSameMatches(serial.matches, parallel.matches,
                           "threads=" + std::to_string(threads));
-        // The shards cover every posting exactly once.
+        // The shards cover every posting exactly once, and their per-range
+        // page charges add up to the serial per-list ⌈size/P⌉.
         EXPECT_EQ(parallel.counters.elements_read,
                   serial.counters.elements_read);
         EXPECT_EQ(parallel.counters.elements_total,
                   serial.counters.elements_total);
+        EXPECT_EQ(parallel.counters.seq_page_reads,
+                  serial.counters.seq_page_reads);
       }
     }
   }

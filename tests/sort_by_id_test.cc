@@ -1,0 +1,298 @@
+#include "core/sort_by_id.h"
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <bit>
+#include <chrono>
+#include <string>
+#include <vector>
+
+#include "core/linear_scan.h"
+#include "core/parallel.h"
+#include "storage/posting_store.h"
+#include "test_util.h"
+
+// The windowed counting merge behind SortByIdSelect and
+// ParallelSortByIdSelect. The corpus has more than two 4096-id windows, so
+// list ids straddle the 4095/4096 and 8191/8192 window seams; the marker
+// words plant lists whose gaps skip whole windows and windows holding a
+// single posting.
+
+namespace simsel {
+namespace {
+
+constexpr SetId kWindow = 4096;
+constexpr size_t kRecords = 9300;
+// Rare marker words: "qjxqjx" sits on both sides of each window seam,
+// "vwkvwk" only in records 3 and 9000 (one gap wider than a window).
+constexpr SetId kSeamRecords[] = {7, 4095, 4096, 8191, 8192, 9250};
+constexpr SetId kGapRecords[] = {3, 9000};
+
+const SimilaritySelector& Selector() {
+  static const SimilaritySelector* selector = [] {
+    CorpusOptions corpus;
+    corpus.num_records = kRecords;
+    corpus.vocab_size = 3000;
+    corpus.min_words = 1;
+    corpus.max_words = 3;
+    corpus.seed = 1801;
+    std::vector<std::string> records = GenerateCorpus(corpus).records;
+    for (SetId s : kSeamRecords) records[s] += " qjxqjx";
+    for (SetId s : kGapRecords) records[s] += " vwkvwk";
+    BuildOptions build;
+    build.tokenizer.q = 3;
+    build.build_sql_baseline = false;
+    build.index.page_bytes = 512;
+    return new SimilaritySelector(SimilaritySelector::Build(records, build));
+  }();
+  return *selector;
+}
+
+const PostingStore& Store() {
+  static const PostingStore* store =
+      new PostingStore(PostingStore::Build(Selector().index()));
+  return *store;
+}
+
+// A query over exactly the dictionary tokens `ids` (distinct, tf 1).
+PreparedQuery QueryOfTokens(const std::vector<TokenId>& ids) {
+  const Dictionary& dict = Selector().collection().dictionary();
+  std::vector<TokenCount> tokens;
+  for (TokenId t : ids) tokens.push_back(TokenCount{dict.token(t), 1});
+  return Selector().measure().PrepareQuery(tokens);
+}
+
+// `count` tokens spread evenly over the dictionary: frequent and rare
+// lists alike.
+PreparedQuery SpreadQuery(size_t count) {
+  const size_t dict_size = Selector().collection().dictionary().size();
+  std::vector<TokenId> ids;
+  for (size_t i = 0; i < count; ++i) {
+    ids.push_back(static_cast<TokenId>(i * dict_size / count));
+  }
+  return QueryOfTokens(ids);
+}
+
+PreparedQuery TextQuery(const std::vector<SetId>& records) {
+  std::string text;
+  for (SetId s : records) text += Selector().collection().text(s) + " ";
+  return Selector().Prepare(text);
+}
+
+struct NamedQuery {
+  std::string name;
+  PreparedQuery q;
+};
+
+const std::vector<NamedQuery>& Queries() {
+  static const std::vector<NamedQuery>* queries = [] {
+    const Dictionary& dict = Selector().collection().dictionary();
+    auto* out = new std::vector<NamedQuery>{
+        {"one rare token", QueryOfTokens({*dict.Find("vwk")})},
+        {"one seam token", QueryOfTokens({*dict.Find("qjx")})},
+        {"seam records", TextQuery({4095, 4096, 8191, 8192})},
+        {"gap records", TextQuery({3, 9000})},
+        {"64 tokens", SpreadQuery(64)},
+        {"65 tokens", SpreadQuery(65)},
+        {"200 tokens", SpreadQuery(200)},
+    };
+    return out;
+  }();
+  return *queries;
+}
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
+
+// Same ids in the same order with the same score bits.
+void ExpectIdentical(const std::vector<Match>& expected,
+                     const std::vector<Match>& actual,
+                     const std::string& context) {
+  ASSERT_EQ(expected.size(), actual.size()) << context;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(expected[i].id, actual[i].id) << context << " at rank " << i;
+    ASSERT_EQ(Bits(expected[i].score), Bits(actual[i].score))
+        << context << " id " << actual[i].id;
+  }
+}
+
+// `partial` is sound: a prefix of `full` with identical scores (windows
+// finish in id order and finished windows are exact), in ascending order,
+// with every posting of the query lists either read or skipped.
+void ExpectSoundPrefix(const QueryResult& full, const QueryResult& partial,
+                       const std::string& context) {
+  EXPECT_TRUE(partial.status.ok()) << context;
+  EXPECT_EQ(partial.counters.results, partial.matches.size()) << context;
+  EXPECT_EQ(partial.counters.elements_total, full.counters.elements_total)
+      << context;
+  EXPECT_EQ(partial.counters.elements_read + partial.counters.elements_skipped,
+            partial.counters.elements_total)
+      << context;
+  ASSERT_LE(partial.matches.size(), full.matches.size()) << context;
+  std::vector<Match> prefix(full.matches.begin(),
+                            full.matches.begin() + partial.matches.size());
+  ExpectIdentical(prefix, partial.matches, context);
+}
+
+uint64_t ListPostings(const PreparedQuery& q) {
+  uint64_t total = 0;
+  for (TokenId t : q.tokens) total += Selector().index().ListSize(t);
+  return total;
+}
+
+uint64_t ListPages(const PreparedQuery& q) {
+  const size_t per_page = Selector().index().entries_per_page();
+  uint64_t pages = 0;
+  for (TokenId t : q.tokens) {
+    pages += (Selector().index().ListSize(t) + per_page - 1) / per_page;
+  }
+  return pages;
+}
+
+TEST(SortByIdKernelTest, FixtureCoversSeamsGapsAndQuerySizes) {
+  const SimilaritySelector& sel = Selector();
+  const Dictionary& dict = sel.collection().dictionary();
+  // The marker grams are as rare as planted.
+  const TokenId gap_token = *dict.Find("vwk");
+  ASSERT_EQ(sel.index().ListSize(gap_token), 2u);
+  const uint32_t* gap_ids = sel.index().IdIds(gap_token);
+  EXPECT_GT(gap_ids[1] - gap_ids[0], kWindow);
+  const TokenId seam_token = *dict.Find("qjx");
+  ASSERT_EQ(sel.index().ListSize(seam_token), std::size(kSeamRecords));
+  const uint32_t* seam_ids = sel.index().IdIds(seam_token);
+  for (size_t i = 0; i < std::size(kSeamRecords); ++i) {
+    EXPECT_EQ(seam_ids[i], kSeamRecords[i]);
+  }
+  EXPECT_GT(sel.collection().size(), 9000u);
+  EXPECT_EQ(Queries()[0].q.tokens.size(), 1u);
+  EXPECT_EQ(Queries()[1].q.tokens.size(), 1u);
+  EXPECT_EQ(Queries()[4].q.tokens.size(), 64u);
+  EXPECT_EQ(Queries()[5].q.tokens.size(), 65u);
+  EXPECT_EQ(Queries()[6].q.tokens.size(), 200u);
+}
+
+TEST(SortByIdKernelTest, MemoryAndDiskMatchLinearScanBitForBit) {
+  const SimilaritySelector& sel = Selector();
+  SelectOptions disk;
+  disk.posting_store = &Store();
+  for (const NamedQuery& nq : Queries()) {
+    for (double tau : {0.05, 0.3, 0.6, 0.9}) {
+      const std::string context = nq.name + " tau=" + std::to_string(tau);
+      QueryResult scan =
+          LinearScanSelect(sel.measure(), sel.collection(), nq.q, tau);
+      QueryResult mem = SortByIdSelect(sel.index(), sel.measure(), nq.q, tau);
+      ExpectIdentical(scan.matches, mem.matches, context + " mem");
+      QueryResult on_disk =
+          sel.SelectPrepared(nq.q, tau, AlgorithmKind::kSortById, disk);
+      ExpectIdentical(scan.matches, on_disk.matches, context + " disk");
+      // Every list is read completely: elements, and ⌈size/P⌉ sequential
+      // pages per list.
+      for (const QueryResult* r : {&mem, &on_disk}) {
+        EXPECT_EQ(r->counters.elements_total, ListPostings(nq.q)) << context;
+        EXPECT_EQ(r->counters.elements_read, r->counters.elements_total)
+            << context;
+        EXPECT_EQ(r->counters.elements_skipped, 0u) << context;
+        EXPECT_EQ(r->counters.seq_page_reads, ListPages(nq.q)) << context;
+        EXPECT_EQ(r->counters.results, r->matches.size()) << context;
+      }
+    }
+  }
+}
+
+TEST(SortByIdKernelTest, ControlledPartialsAreSoundPrefixes) {
+  const SimilaritySelector& sel = Selector();
+  std::atomic<bool> cancel{true};
+  for (const NamedQuery& nq : Queries()) {
+    for (bool disk_mode : {false, true}) {
+      SelectOptions base;
+      if (disk_mode) base.posting_store = &Store();
+      const double tau = 0.3;
+      const std::string mode = disk_mode ? " disk" : " mem";
+      QueryResult full =
+          sel.SelectPrepared(nq.q, tau, AlgorithmKind::kSortById, base);
+      for (uint64_t budget : {1u, 64u, 4096u, 32768u}) {
+        SelectOptions opts = base;
+        opts.control.max_elements_read = budget;
+        QueryResult r =
+            sel.SelectPrepared(nq.q, tau, AlgorithmKind::kSortById, opts);
+        const std::string context =
+            nq.name + mode + " budget " + std::to_string(budget);
+        ExpectSoundPrefix(full, r, context);
+        if (r.complete()) {
+          EXPECT_LE(full.counters.elements_read, budget) << context;
+          ExpectIdentical(full.matches, r.matches, context);
+        } else {
+          EXPECT_EQ(r.termination, Termination::kBudget) << context;
+          EXPECT_GT(r.counters.elements_read, budget) << context;
+        }
+      }
+      SelectOptions expired = base;
+      expired.control.deadline =
+          QueryControl::Clock::now() - std::chrono::milliseconds(1);
+      QueryResult late =
+          sel.SelectPrepared(nq.q, tau, AlgorithmKind::kSortById, expired);
+      EXPECT_EQ(late.termination, Termination::kDeadline) << nq.name << mode;
+      ExpectSoundPrefix(full, late, nq.name + mode + " deadline");
+
+      SelectOptions cancelled = base;
+      cancelled.control.cancel = &cancel;
+      QueryResult stopped =
+          sel.SelectPrepared(nq.q, tau, AlgorithmKind::kSortById, cancelled);
+      EXPECT_EQ(stopped.termination, Termination::kCancelled)
+          << nq.name << mode;
+      ExpectSoundPrefix(full, stopped, nq.name + mode + " cancel");
+    }
+  }
+}
+
+TEST(SortByIdKernelTest, UntrippedControlChargesLikeTheHoistedPath) {
+  // With an active control the charges are made per list segment; over a
+  // whole list they must telescope to the hoisted per-list totals.
+  const SimilaritySelector& sel = Selector();
+  std::atomic<bool> cancel{false};
+  for (const NamedQuery& nq : Queries()) {
+    QueryResult plain = SortByIdSelect(sel.index(), sel.measure(), nq.q, 0.3);
+    SelectOptions opts;
+    opts.control.max_elements_read = 1'000'000'000;
+    opts.control.deadline = QueryControl::DeadlineAfterMillis(60'000);
+    opts.control.cancel = &cancel;
+    QueryResult metered =
+        SortByIdSelect(sel.index(), sel.measure(), nq.q, 0.3, opts);
+    ASSERT_TRUE(metered.complete()) << nq.name;
+    ExpectIdentical(plain.matches, metered.matches, nq.name);
+    EXPECT_EQ(metered.counters.elements_read, plain.counters.elements_read)
+        << nq.name;
+    EXPECT_EQ(metered.counters.seq_page_reads, plain.counters.seq_page_reads)
+        << nq.name;
+  }
+}
+
+TEST(SortByIdKernelTest, ParallelRangesAgreeWithSerial) {
+  // Shard boundaries cut windows mid-way; matches and every read counter
+  // still equal the serial merge's.
+  const SimilaritySelector& sel = Selector();
+  for (size_t threads : {1u, 3u, 8u}) {
+    ThreadPool pool(threads);
+    for (const NamedQuery& nq : Queries()) {
+      const std::string context =
+          nq.name + " threads=" + std::to_string(threads);
+      QueryResult serial =
+          SortByIdSelect(sel.index(), sel.measure(), nq.q, 0.3);
+      QueryResult parallel = ParallelSortByIdSelect(
+          sel.index(), sel.measure(), nq.q, 0.3, &pool);
+      ExpectIdentical(serial.matches, parallel.matches, context);
+      EXPECT_EQ(parallel.counters.elements_read,
+                serial.counters.elements_read)
+          << context;
+      EXPECT_EQ(parallel.counters.elements_total,
+                serial.counters.elements_total)
+          << context;
+      EXPECT_EQ(parallel.counters.seq_page_reads,
+                serial.counters.seq_page_reads)
+          << context;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace simsel
