@@ -112,7 +112,7 @@ int Main(int argc, char** argv) {
           {"Q-gram table", bench::FmtMb(sizes.gram_table)},
           {"B-tree (clustered)", bench::FmtMb(sizes.btree)},
           {"Inverted lists (both orders)", bench::FmtMb(sizes.inverted_lists)},
-          {"Skip lists", bench::FmtMb(sizes.skip_lists)},
+          {"Skip lists (block summaries)", bench::FmtMb(sizes.skip_lists)},
           {"Extendible hashing", bench::FmtMb(sizes.extendible_hash)},
           {"By-id gap varints (v3 image payload)",
            bench::FmtMb(v3_blocks.id_payload_bytes)},

@@ -1,5 +1,5 @@
-// Micro-benchmarks of the substrate containers (google-benchmark): skip
-// index seeks, extendible hash probes, B+-tree seeks and scans,
+// Micro-benchmarks of the substrate containers (google-benchmark): sorted
+// length seeks, extendible hash probes, B+-tree seeks and scans,
 // tokenization, and single-query latencies of the main algorithms.
 
 #include <benchmark/benchmark.h>
@@ -14,7 +14,6 @@
 #include "common/timer.h"
 #include "container/extendible_hash.h"
 #include "core/dynamic.h"
-#include "container/skip_index.h"
 #include "eval/experiment.h"
 #include "simd/kernels.h"
 #include "storage/posting_store.h"
@@ -30,18 +29,6 @@ std::vector<float> SortedLengths(size_t n) {
   std::sort(v.begin(), v.end());
   return v;
 }
-
-void BM_SkipIndexSeek(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<float> lens = SortedLengths(n);
-  SkipIndex skip(lens.data(), n, 64);
-  Rng rng(2);
-  for (auto _ : state) {
-    float target = static_cast<float>(rng.NextDouble() * 100.0);
-    benchmark::DoNotOptimize(skip.SeekFirstGE(target));
-  }
-}
-BENCHMARK(BM_SkipIndexSeek)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_BinarySearchBaseline(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -820,11 +820,16 @@ int main(int argc, char** argv) {
     }
     if (cmd == "stats") {
       IndexSizeReport sizes = sel->Sizes();
-      std::printf("base table        %10zu bytes\n", sizes.base_table);
-      std::printf("inverted lists    %10zu bytes\n", sizes.inverted_lists);
-      std::printf("skip lists        %10zu bytes\n", sizes.skip_lists);
-      std::printf("extendible hash   %10zu bytes\n", sizes.extendible_hash);
-      std::printf("sketches          %10zu bytes\n", sizes.sketches);
+      std::printf("base table                    %10zu bytes\n",
+                  sizes.base_table);
+      std::printf("inverted lists                %10zu bytes\n",
+                  sizes.inverted_lists);
+      std::printf("skip lists (block summaries)  %10zu bytes\n",
+                  sizes.skip_lists);
+      std::printf("extendible hash               %10zu bytes\n",
+                  sizes.extendible_hash);
+      std::printf("sketches                      %10zu bytes\n",
+                  sizes.sketches);
       return 0;
     }
     double tau;

@@ -13,20 +13,9 @@ PlanDecision ChooseAlgorithm(const InvertedIndex& index,
       internal::ComputeLengthWindow(q, tau, /*enabled=*/true);
 
   for (TokenId t : q.tokens) {
-    size_t n = index.ListSize(t);
-    decision.total_postings += n;
-    const SkipIndex* skip = index.skip(t);
-    if (skip != nullptr) {
-      size_t lo_pos = skip->SeekFirstGE(window.lo);
-      size_t hi_pos = skip->SeekFirstGE(window.hi);
-      decision.window_postings += (hi_pos > lo_pos) ? hi_pos - lo_pos : 0;
-    } else {
-      // Short list: count exactly.
-      const float* lens = index.LenLens(t);
-      for (size_t i = 0; i < n; ++i) {
-        if (window.Contains(lens[i])) ++decision.window_postings;
-      }
-    }
+    decision.total_postings += index.ListSize(t);
+    // Exact: the span is inclusive at both ends, like LengthWindow::Contains.
+    decision.window_postings += index.WindowSpan(t, window.lo, window.hi).size();
   }
 
   if (q.tokens.empty()) {

@@ -18,8 +18,9 @@ struct PlanDecision {
 };
 
 /// Chooses an algorithm for one query from index statistics, without
-/// touching the lists (the skip indexes locate the Theorem 1 window
-/// boundaries in O(log) per list).
+/// walking the lists (InvertedIndex::WindowSpan locates the Theorem 1
+/// window boundaries through the block summaries in O(log) per list, plus
+/// one landing block each).
 ///
 /// The policy encodes the paper's experimental summary: SF wins whenever
 /// pruning is possible; the sort-by-id merge (whose cost is flat) is

@@ -18,12 +18,14 @@ namespace simsel {
 ///   c_t(s) = tf(s,t)·(k1+1)/(tf(s,t)+K)  <=  mtf(t)·(k1+1)/(mtf(t)+K),
 ///
 /// which *decreases* in |s|. Lists are therefore sorted by ascending |s|
-/// (the posting payload stores |s| instead of a normalized length) and all
-/// of SF's machinery transfers: per-list cutoffs become the document length
-/// λ_k at which even presence in every remaining list cannot reach τ
-/// (found by bisection — the bound is monotone but not closed-form), Order
-/// Preservation holds because |s| is constant across lists, and surviving
-/// candidates are verified exactly against the base table.
+/// (the posting payload stores |s| instead of a normalized length) and the
+/// one Shortest-First loop runs unchanged (SfSelect's BM25 overload):
+/// per-list cutoffs become the document length λ_k at which even presence
+/// in every remaining list cannot reach τ (found by bisection — the bound
+/// is monotone but not closed-form), Order Preservation holds because |s|
+/// is constant across lists, and surviving candidates are verified exactly
+/// against the base table. Control, τ clamping, disk mode and read-failure
+/// statuses behave as for every other SF query.
 class Bm25Selector {
  public:
   /// Builds the |s|-ordered inverted index over `measure`'s collection.
@@ -35,8 +37,8 @@ class Bm25Selector {
 
   const InvertedIndex& index() const { return index_; }
 
-  /// Largest per-list contribution bound for a document of length `d`:
-  /// q.weights[i] · mtf·(k1+1)/(mtf + K(d)). Exposed for tests.
+  /// Largest per-list contribution bound for a document of length `d`
+  /// (Bm25Measure::ContributionBound). Exposed for tests.
   double ContributionBound(const PreparedQuery& q, size_t i, double d) const;
 
  private:

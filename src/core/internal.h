@@ -122,7 +122,7 @@ class ControlPoller {
 /// so the canonical score is the only sound way to report them; the cost is
 /// bounded by the candidates already admitted. The resulting matches are
 /// always a subset of the complete answer with bit-identical scores.
-inline void VerifyPartialCandidates(const IdfMeasure& measure,
+inline void VerifyPartialCandidates(const SimilarityMeasure& measure,
                                     const PreparedQuery& q, double tau,
                                     const std::vector<uint32_t>& ids,
                                     QueryResult* result) {

@@ -2,6 +2,8 @@
 #define SIMSEL_CORE_PARALLEL_H_
 
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,14 +17,31 @@ namespace simsel {
 ///
 /// Two complementary strategies are provided:
 ///  - inter-query: BatchSelect runs a workload of independent queries across
-///    a thread pool (SimilaritySelector is const-thread-compatible), the
+///    a thread pool (the front doors are const-thread-compatible), the
 ///    bread-and-butter parallelism of a similarity-search service;
 ///  - intra-query: ParallelLinearScanSelect shards the collection across
 ///    workers for one query, the pattern a partitioned deployment would use
 ///    per partition.
 
-/// Runs one selection per query string concurrently on `pool`. Results are
-/// positionally aligned with `queries`.
+namespace internal {
+
+/// The body of BatchSelect, written once for every front door: runs
+/// `select(i, per_query_options)` for i in [0, n) on `pool` (the caller's
+/// thread when null) with the retry policy and trace stitching documented
+/// on BatchSelect.
+std::vector<QueryResult> RunBatch(
+    size_t n, const SelectOptions& options, ThreadPool* pool,
+    const std::function<QueryResult(size_t, const SelectOptions&)>& select);
+
+}  // namespace internal
+
+/// Runs one selection per query string through any front door with
+/// `Select(std::string_view, double, AlgorithmKind, const SelectOptions&)`
+/// (SimilaritySelector, serve::ShardedSelector). Results are positionally
+/// aligned with `queries`. Queries run concurrently on `pool`; a null pool
+/// runs the batch in order on the caller's thread — the way to batch a
+/// ShardedSelector, whose Select fans out across its own pool and must not
+/// run on the pool it scatters into.
 ///
 /// `options.control` applies to every query of the batch: the deadline is
 /// absolute, so queries dispatched later simply inherit less remaining time,
@@ -38,11 +57,18 @@ namespace simsel {
 /// one `batch` span with a `batch_query[i]` subtree per query, in query
 /// order. Each QueryResult::trace then points at the stitched parent. A
 /// retried query's subtree covers its final attempt.
-std::vector<QueryResult> BatchSelect(const SimilaritySelector& selector,
+template <class Selector>
+std::vector<QueryResult> BatchSelect(const Selector& selector,
                                      const std::vector<std::string>& queries,
                                      double tau, AlgorithmKind kind,
                                      const SelectOptions& options,
-                                     ThreadPool* pool);
+                                     ThreadPool* pool) {
+  return internal::RunBatch(
+      queries.size(), options, pool,
+      [&](size_t i, const SelectOptions& per_query) {
+        return selector.Select(queries[i], tau, kind, per_query);
+      });
+}
 
 /// Exhaustive scan sharded over the pool; exact same result (ids, canonical
 /// scores, ascending id order) as LinearScanSelect. Counters are pooled.

@@ -193,7 +193,7 @@ Result<SimilaritySelector> SimilaritySelector::BuildWithSavedIndex(
                     << sel.index_->num_tokens() << " lists, "
                     << sel.index_->total_postings() << " postings)";
   // The banding tables and partition router are derived structures (like
-  // skip indexes), deterministically recomputed from the persisted
+  // block summaries), deterministically recomputed from the persisted
   // signatures + collection statistics.
   sel.prefilter_ = sketch::AttachPrefilter(*sel.measure_, *sel.index_);
   if (options.build_sql_baseline) {

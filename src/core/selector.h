@@ -58,7 +58,7 @@ struct IndexSizeReport {
   size_t gram_table = 0;        // relational rows (0 if not built)
   size_t btree = 0;             // clustered composite index (0 if not built)
   size_t inverted_lists = 0;    // both sort orders
-  size_t skip_lists = 0;
+  size_t skip_lists = 0;        // the block summaries (length seeks)
   size_t extendible_hash = 0;
   size_t sketches = 0;          // MinHash signatures + derived prefilter
 };

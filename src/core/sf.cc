@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "common/bitset.h"
 #include "core/internal.h"
@@ -14,14 +15,17 @@ namespace simsel {
 
 namespace {
 
+using internal::LengthWindow;
+
 struct Candidate {
   uint32_t id;
   float len;
+  // Lists known to contain the set; tracked only when the bound scores
+  // from them (a bitset per candidate is a heap allocation).
   DynamicBitset present;
-  // Optimistic numerator: Σ weights over present lists plus every list not
-  // yet proven absent. Divided by len·len(q) it is the candidate's best
-  // possible score (Magnitude Boundedness applied incrementally).
-  double potential_num;
+  // Optimistic score in the bound's units: the bounds of every list not yet
+  // proven absent (Magnitude Boundedness applied incrementally).
+  double potential;
 };
 
 // Candidates and by-length postings share the (len, id) sort order.
@@ -30,15 +34,171 @@ bool CandBefore(const Candidate& c, float len, uint32_t id) {
   return c.id < id;
 }
 
-}  // namespace
+// Bound policies: everything Shortest-First needs from the measure.
+//  - OrderKey(i): lists are consumed in decreasing key order; SetOrder
+//    receives that order before the first list.
+//  - window(): the Length Boundedness window the scans start and end in.
+//  - Depth(k): λ_k, the deepest length at which a set first seen in round k
+//    could still reach τ, assuming it appears in this and every later list.
+//  - Start(k, len): the potential of a set first seen in round k;
+//    Absent(list, len): what it loses when `list` proves it absent;
+//    Viable(potential, len): whether that potential can still reach τ.
+//  - kScoresFromLists: complete candidates are scored from their membership
+//    bits; otherwise every survivor is verified against the base table.
 
-QueryResult SfSelect(const InvertedIndex& index, const IdfMeasure& measure,
-                     const PreparedQuery& q, double tau,
-                     const SelectOptions& options) {
-  using internal::ComputeLengthWindow;
-  using internal::kPruneSlack;
-  using internal::LengthWindow;
-  using internal::PruneThreshold;
+// IDF and TF/IDF: list i contributes at most κ_i / (len(s)·len(q)), with κ_i
+// fixed per list, so the potential is a numerator and λ_k is closed-form.
+class NumeratorBound {
+ public:
+  NumeratorBound(const PreparedQuery& q, double tau, std::vector<double> kappa,
+                 LengthWindow window)
+      : q_length_(q.length),
+        prune_at_(internal::PruneThreshold(tau)),
+        kappa_(std::move(kappa)),
+        window_(window) {}
+
+  double OrderKey(size_t i) const { return kappa_[i]; }
+  void SetOrder(const std::vector<size_t>& perm) {
+    // suffix_[k] = Σ_{j >= k} κ[perm[j]].
+    suffix_.assign(perm.size() + 1, 0.0);
+    for (size_t k = perm.size(); k-- > 0;) {
+      suffix_[k] = suffix_[k + 1] + kappa_[perm[k]];
+    }
+  }
+  const LengthWindow& window() const { return window_; }
+  // Equation 2. ClampTau guarantees prune_at > 0, so the division is always
+  // defined; the slacked threshold is Viable's, so admission and scan depth
+  // agree exactly across lists.
+  double Depth(size_t k) const { return suffix_[k] / (prune_at_ * q_length_); }
+  double Start(size_t k, float /*len*/) const { return suffix_[k]; }
+  double Absent(size_t list, float /*len*/) const { return kappa_[list]; }
+  bool Viable(double potential, float len) const {
+    return potential / (static_cast<double>(len) * q_length_) >= prune_at_;
+  }
+
+ private:
+  double q_length_;
+  double prune_at_;
+  std::vector<double> kappa_;
+  std::vector<double> suffix_;
+  LengthWindow window_;
+};
+
+// IDF: κ_i = idf(q^i)², so decreasing κ is decreasing idf, the paper's
+// order, and survivors are scored exactly from their bits.
+struct IdfBound : NumeratorBound {
+  static constexpr bool kScoresFromLists = true;
+  IdfBound(const IdfMeasure& /*measure*/, const PreparedQuery& q, double tau,
+           bool length_bounding)
+      : NumeratorBound(
+            q, tau, q.weights,
+            internal::ComputeLengthWindow(q, tau, length_bounding)) {}
+};
+
+// TF/IDF: each bound boosted by the token's maximum tf over the database.
+struct TfIdfBound : NumeratorBound {
+  static constexpr bool kScoresFromLists = false;
+  TfIdfBound(const TfIdfMeasure& measure, const PreparedQuery& q, double tau,
+             bool length_bounding)
+      : NumeratorBound(q, tau, Kappa(measure, q),
+                       Window(measure, q, tau, length_bounding)) {}
+
+  // κ_i = tf(q,i)·mtf(q^i)·idf(q^i)², the largest numerator contribution
+  // list i can make to any set (q.weights[i] = tf(q,i)·idf already).
+  static std::vector<double> Kappa(const TfIdfMeasure& measure,
+                                   const PreparedQuery& q) {
+    std::vector<double> kappa(q.tokens.size());
+    for (size_t i = 0; i < kappa.size(); ++i) {
+      kappa[i] = q.weights[i] * measure.max_tf(q.tokens[i]) *
+                 measure.idf(q.tokens[i]);
+    }
+    return kappa;
+  }
+
+  // Boosted Theorem 1: τ·len(q)/mtfq <= ||s|| <= max_i mtf(q^i)·len(q)/τ.
+  static LengthWindow Window(const TfIdfMeasure& measure,
+                             const PreparedQuery& q, double tau,
+                             bool enabled) {
+    LengthWindow w;
+    if (!enabled) return w;
+    uint32_t mtfq = 1;
+    uint32_t max_db_tf = 1;
+    for (size_t i = 0; i < q.tokens.size(); ++i) {
+      mtfq = std::max(mtfq, q.tfs[i]);
+      max_db_tf = std::max(max_db_tf, measure.max_tf(q.tokens[i]));
+    }
+    w.lo = static_cast<float>(tau * q.length / mtfq *
+                              (1.0 - internal::kPruneSlack));
+    w.hi = static_cast<float>(max_db_tf * q.length / tau *
+                              (1.0 + internal::kPruneSlack));
+    return w;
+  }
+};
+
+// BM25: not length-normalized, so there is no window; the per-list bound
+// decreases in the document length |s|, the postings' sort key.
+class Bm25Bound {
+ public:
+  static constexpr bool kScoresFromLists = false;
+  Bm25Bound(const Bm25Measure& measure, const PreparedQuery& q, double tau,
+            bool /*length_bounding*/)
+      : measure_(measure), q_(q), prune_at_(internal::PruneThreshold(tau)) {}
+
+  // The bound at the average document length. The order only affects
+  // efficiency; the bounds below are exact per candidate.
+  double OrderKey(size_t i) const {
+    return measure_.ContributionBound(q_, i, measure_.avgdl());
+  }
+  void SetOrder(const std::vector<size_t>& perm) { perm_ = perm; }
+  const LengthWindow& window() const { return window_; }
+  // SuffixAt(k, ·) decreases in |s|; bisect for the largest length
+  // still reaching the threshold, returning the upper end so the scan never
+  // stops short of an admissible candidate.
+  double Depth(size_t k) const {
+    double lo = 0.0, hi = 1.0;
+    if (SuffixAt(k, lo) < prune_at_) return 0.0;
+    while (SuffixAt(k, hi) >= prune_at_ && hi < 1e15) hi *= 2.0;
+    if (hi >= 1e15) return std::numeric_limits<double>::infinity();
+    for (int iter = 0; iter < 64; ++iter) {
+      double mid = 0.5 * (lo + hi);
+      if (SuffixAt(k, mid) >= prune_at_) {
+        lo = mid;
+      } else {
+        hi = mid;
+      }
+    }
+    return hi;
+  }
+  double Start(size_t k, float len) const { return SuffixAt(k, len); }
+  double Absent(size_t list, float len) const {
+    return measure_.ContributionBound(q_, list, len);
+  }
+  bool Viable(double potential, float /*len*/) const {
+    return potential >= prune_at_;
+  }
+
+ private:
+  double SuffixAt(size_t k, double d) const {
+    double sum = 0.0;
+    for (size_t j = k; j < perm_.size(); ++j) {
+      sum += measure_.ContributionBound(q_, perm_[j], d);
+    }
+    return sum;
+  }
+
+  const Bm25Measure& measure_;
+  const PreparedQuery& q_;
+  double prune_at_;
+  std::vector<size_t> perm_;
+  LengthWindow window_;
+};
+
+// Algorithm 3 over any bound policy: one span-at-a-time merge of each list
+// against the (len, id)-sorted candidates, in the bound's list order.
+template <class Bound, class Measure>
+QueryResult ShortestFirst(const InvertedIndex& index, const Measure& measure,
+                          const PreparedQuery& q, double tau,
+                          const SelectOptions& options) {
   tau = internal::ClampTau(tau);
   QueryResult result;
   const size_t n = q.tokens.size();
@@ -46,31 +206,21 @@ QueryResult SfSelect(const InvertedIndex& index, const IdfMeasure& measure,
   AccessCounters& counters = result.counters;
   internal::ControlPoller poller(options.control, counters);
   Status io_status;
-  const double prune_at = PruneThreshold(tau);
-  LengthWindow window;
+  Bound bound(measure, q, tau, options.length_bounding);
   std::vector<size_t> perm(n);
-  std::vector<double> suffix(n + 1, 0.0);
   {
     obs::TraceScope bounds_span(options.trace, "bounds");
-    window = ComputeLengthWindow(q, tau, options.length_bounding);
-    // Decreasing idf order == decreasing weight order (weights are idf²).
+    std::vector<double> key(n);
+    for (size_t i = 0; i < n; ++i) key[i] = bound.OrderKey(i);
     std::iota(perm.begin(), perm.end(), 0);
-    std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-      return q.weights[a] > q.weights[b];
-    });
-    // suffix[k] = Σ_{j >= k} weights[perm[j]].
-    for (size_t k = n; k-- > 0;) {
-      suffix[k] = suffix[k + 1] + q.weights[perm[k]];
-    }
+    std::stable_sort(perm.begin(), perm.end(),
+                     [&](size_t a, size_t b) { return key[a] > key[b]; });
+    bound.SetOrder(perm);
   }
+  const LengthWindow& window = bound.window();
 
   std::vector<Candidate> cands;  // sorted by (len, id)
   std::vector<Candidate> next;
-
-  auto viable = [&](const Candidate& c) {
-    return c.potential_num / (static_cast<double>(c.len) * q.length) >=
-           prune_at;
-  };
 
   {
     obs::TraceScope rounds_span(options.trace, "rounds");
@@ -81,15 +231,9 @@ QueryResult SfSelect(const InvertedIndex& index, const IdfMeasure& measure,
       ListCursor cursor(index, q.tokens[list], options.use_skip_index,
                         &counters, options.buffer_pool,
                         options.posting_store);
-      // λ_k: the deepest length at which a set first seen here could still
-      // reach τ, assuming it appears in this and every later list
-      // (Equation 2). ClampTau guarantees prune_at > 0, so the division is
-      // always defined. Uses the same slacked threshold as viable() so
-      // admission and scan depth agree exactly across lists.
-      double lambda = suffix[k] / (prune_at * q.length);
       // All depth arithmetic in double so no float rounding can cut the
       // scan short of the admission bound.
-      double mu = std::min<double>(lambda, window.hi);
+      double mu = std::min<double>(bound.Depth(k), window.hi);
       double pending_max = cands.empty()
                                ? -std::numeric_limits<double>::infinity()
                                : cands.back().len;
@@ -136,8 +280,8 @@ QueryResult SfSelect(const InvertedIndex& index, const IdfMeasure& measure,
           // absent by Order Preservation; its potential drops.
           ++counters.candidate_scan_steps;
           Candidate& c = cands[ci];
-          c.potential_num -= q.weights[list];
-          if (viable(c)) {
+          c.potential -= bound.Absent(list, c.len);
+          if (bound.Viable(c.potential, c.len)) {
             next.push_back(std::move(c));
           } else {
             ++counters.candidate_prunes;
@@ -147,7 +291,7 @@ QueryResult SfSelect(const InvertedIndex& index, const IdfMeasure& measure,
                    cands[ci].len == plen) {
           ++counters.candidate_scan_steps;
           Candidate& c = cands[ci];
-          c.present.Set(list);
+          if constexpr (Bound::kScoresFromLists) c.present.Set(list);
           next.push_back(std::move(c));
           ++ci;
           ++si;
@@ -156,10 +300,12 @@ QueryResult SfSelect(const InvertedIndex& index, const IdfMeasure& measure,
           Candidate c;
           c.id = pid;
           c.len = plen;
-          c.present = DynamicBitset(n);
-          c.present.Set(list);
-          c.potential_num = suffix[k];
-          if (viable(c)) {
+          if constexpr (Bound::kScoresFromLists) {
+            c.present = DynamicBitset(n);
+            c.present.Set(list);
+          }
+          c.potential = bound.Start(k, plen);
+          if (bound.Viable(c.potential, c.len)) {
             next.push_back(std::move(c));
             ++counters.candidate_inserts;
           } else {
@@ -186,22 +332,47 @@ QueryResult SfSelect(const InvertedIndex& index, const IdfMeasure& measure,
 
   obs::TraceScope verify_span(options.trace, "verify");
   verify_span.SetItems(cands.size());
-  if (poller.termination() != Termination::kCompleted) {
-    result.termination = poller.termination();
+  result.termination = poller.termination();
+  bool scored = false;
+  if constexpr (Bound::kScoresFromLists) {
+    if (result.termination == Termination::kCompleted) {
+      for (const Candidate& c : cands) {
+        double score = measure.ScoreFromBits(q, c.present, c.len);
+        if (score >= tau) result.matches.push_back(Match{c.id, score});
+      }
+      scored = true;
+    }
+  }
+  if (!scored) {
     std::vector<uint32_t> ids;
     ids.reserve(cands.size());
     for (const Candidate& c : cands) ids.push_back(c.id);
     internal::VerifyPartialCandidates(measure, q, tau, ids, &result);
-  } else {
-    for (const Candidate& c : cands) {
-      double score = measure.ScoreFromBits(q, c.present, c.len);
-      if (score >= tau) result.matches.push_back(Match{c.id, score});
-    }
   }
   counters.results = result.matches.size();
   internal::SortMatches(&result.matches);
   if (!io_status.ok()) internal::FailResult(std::move(io_status), &result);
   return result;
+}
+
+}  // namespace
+
+QueryResult SfSelect(const InvertedIndex& index, const IdfMeasure& measure,
+                     const PreparedQuery& q, double tau,
+                     const SelectOptions& options) {
+  return ShortestFirst<IdfBound>(index, measure, q, tau, options);
+}
+
+QueryResult SfSelect(const InvertedIndex& index, const TfIdfMeasure& measure,
+                     const PreparedQuery& q, double tau,
+                     const SelectOptions& options) {
+  return ShortestFirst<TfIdfBound>(index, measure, q, tau, options);
+}
+
+QueryResult SfSelect(const InvertedIndex& index, const Bm25Measure& measure,
+                     const PreparedQuery& q, double tau,
+                     const SelectOptions& options) {
+  return ShortestFirst<Bm25Bound>(index, measure, q, tau, options);
 }
 
 }  // namespace simsel

@@ -3,7 +3,9 @@
 
 #include "core/types.h"
 #include "index/inverted_index.h"
+#include "sim/bm25.h"
 #include "sim/idf.h"
+#include "sim/tfidf.h"
 
 namespace simsel {
 
@@ -25,6 +27,23 @@ namespace simsel {
 /// to SF and ignored; `length_bounding` and `use_skip_index` are honored
 /// (Figures 8 and 9).
 QueryResult SfSelect(const InvertedIndex& index, const IdfMeasure& measure,
+                     const PreparedQuery& q, double tau,
+                     const SelectOptions& options);
+
+/// The same loop under full cosine TF/IDF (Section IV's "looser versions"
+/// of the properties): `index` holds TF/IDF set lengths, every per-list
+/// bound is boosted by the token's maximum tf (κ_i = tf(q,i)·mtf·idf²), the
+/// Theorem-1 window by the query's and the lists' maximum tf, and every
+/// survivor is verified with an exact TF/IDF score (see TfIdfSelector).
+QueryResult SfSelect(const InvertedIndex& index, const TfIdfMeasure& measure,
+                     const PreparedQuery& q, double tau,
+                     const SelectOptions& options);
+
+/// The same loop under BM25/BM25': `index` holds document lengths |s|, the
+/// per-list bound is Bm25Measure::ContributionBound at the candidate's |s|,
+/// λ_k is found by bisection, there is no length window, and every survivor
+/// is verified with an exact BM25 score (see Bm25Selector).
+QueryResult SfSelect(const InvertedIndex& index, const Bm25Measure& measure,
                      const PreparedQuery& q, double tau,
                      const SelectOptions& options);
 

@@ -22,13 +22,17 @@ namespace simsel {
 ///  - boosted per-list contribution (Magnitude Boundedness / λ cutoffs):
 ///      w_i(s) <= κ_i / (||s||·||q||),  κ_i = tf(q,i)·mtf(q^i)·idf(q^i)².
 ///
-/// The engine is Shortest-First over an inverted index built with TF/IDF
-/// set lengths (InvertedIndex::BuildWithLengths): lists are processed in
-/// decreasing κ order with boosted λ cutoffs, candidates that survive the
-/// bound-based pruning are verified with an exact score against the base
-/// table (the postings cannot carry per-set tfs, so scores are not
-/// computable from the lists alone — verification is one record fetch,
-/// charged to rows_scanned).
+/// The engine is the one Shortest-First loop (SfSelect's TF/IDF overload)
+/// over an inverted index built with TF/IDF set lengths
+/// (InvertedIndex::BuildWithLengths): lists are processed in decreasing κ
+/// order with boosted λ cutoffs, and candidates that survive the bound-based
+/// pruning are verified with an exact score against the base table (the
+/// postings cannot carry per-set tfs, so scores are not computable from the
+/// lists alone — verification is one record fetch, charged to
+/// rows_scanned). Being SF, it honors SelectOptions like every strategy:
+/// τ goes through ClampTau, `control` trips into a sound partial result,
+/// `posting_store`/`buffer_pool` select disk mode, and a failed disk read
+/// surfaces in QueryResult::status.
 ///
 /// Exactness is asserted against a TF/IDF linear scan in tfidf_select_test.
 class TfIdfSelector {

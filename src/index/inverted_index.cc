@@ -147,7 +147,6 @@ InvertedIndex InvertedIndex::BuildRangeWithLengths(
 void InvertedIndex::BuildDerived() {
   const size_t num_tokens = offsets_.size() - 1;
   SIMSEL_CHECK_MSG(options_.block_postings >= 1, "block_postings must be >= 1");
-  skips_.clear();
   hashes_.clear();
   // Block summaries in CSR layout: ceil(size / block) blocks per token.
   const size_t bp = options_.block_postings;
@@ -156,7 +155,6 @@ void InvertedIndex::BuildDerived() {
     block_offsets_[t + 1] = block_offsets_[t] + (ListSize(t) + bp - 1) / bp;
   }
   blocks_.resize(block_offsets_[num_tokens]);
-  if (options_.build_skip) skips_.resize(num_tokens);
   if (options_.build_hash) hashes_.resize(num_tokens);
 
   std::unique_ptr<ThreadPool> pool =
@@ -170,9 +168,6 @@ void InvertedIndex::BuildDerived() {
       const size_t last = std::min(n, first + bp) - 1;
       blocks[b] = PostingBlockSummary{lens[first], lens[last], ids[first],
                                       ids[last]};
-    }
-    if (options_.build_skip && n > options_.skip_fanout) {
-      skips_[t] = std::make_unique<SkipIndex>(lens, n, options_.skip_fanout);
     }
     if (options_.build_hash && n > 0) {
       auto hash = std::make_unique<ExtendibleHash>(options_.hash_page_bytes);
@@ -247,14 +242,6 @@ PostingRange InvertedIndex::WindowSpan(TokenId t, float lo_len, float hi_len,
 size_t InvertedIndex::ListBytesTotal() const {
   size_t orders = id_ids_.empty() ? 1 : 2;
   return orders * ListBytesOneOrder() + offsets_.size() * sizeof(uint64_t);
-}
-
-size_t InvertedIndex::SkipBytes() const {
-  size_t bytes = 0;
-  for (const auto& s : skips_) {
-    if (s != nullptr) bytes += s->SizeBytes();
-  }
-  return bytes;
 }
 
 size_t InvertedIndex::HashBytes() const {
@@ -334,24 +321,17 @@ bool InvertedIndex::Validate() const {
         return false;
       }
     }
-    const SkipIndex* s = skip(t);
-    if (s != nullptr && n > 0) {
-      // The skip index must locate the first entry for a handful of probes.
-      for (size_t i = 0; i < n; i += std::max<size_t>(1, n / 8)) {
-        size_t pos = s->SeekFirstGE(llens[i]);
-        if (pos > i || llens[pos] < llens[i]) {
-          std::fprintf(stderr, "InvertedIndex: skip seek wrong (token %u)\n",
-                       t);
-          return false;
-        }
-      }
-    }
   }
   return true;
 }
 
 namespace {
 constexpr uint32_t kMagic = 0x53494E56;  // "SINV"
+// Header slots of the retired per-list skip index (its fanout and build
+// flag). Written as the old defaults so images stay byte-identical, and
+// ignored on Load.
+constexpr uint64_t kRetiredSkipFanout = 64;
+constexpr uint8_t kRetiredBuildSkip = 1;
 }  // namespace
 
 void InvertedIndex::EncodeTo(std::vector<uint8_t>* bufp, uint32_t version,
@@ -364,11 +344,11 @@ void InvertedIndex::EncodeTo(std::vector<uint8_t>* bufp, uint32_t version,
   PutFixed32(&buf, kMagic);
   PutFixed32(&buf, version);
   PutFixed64(&buf, options_.page_bytes);
-  PutFixed64(&buf, options_.skip_fanout);
+  PutFixed64(&buf, kRetiredSkipFanout);
   PutFixed64(&buf, options_.hash_page_bytes);
   PutFixed64(&buf, options_.block_postings);
   buf.push_back(options_.build_id_lists ? 1 : 0);
-  buf.push_back(options_.build_skip ? 1 : 0);
+  buf.push_back(kRetiredBuildSkip);
   buf.push_back(options_.build_hash ? 1 : 0);
   PutFixed64(&buf, offsets_.size());
   for (uint64_t o : offsets_) PutVarint64(&buf, o);
@@ -477,19 +457,19 @@ Result<InvertedIndex> InvertedIndex::Load(const std::string& path) {
     return Status::Corruption("unsupported index version in: " + path);
   }
   InvertedIndex index;
-  uint64_t page_bytes, skip_fanout, hash_page_bytes, block_postings;
-  if (!GetFixed64(&dec, &page_bytes) || !GetFixed64(&dec, &skip_fanout) ||
+  uint64_t page_bytes, retired_skip_fanout, hash_page_bytes, block_postings;
+  if (!GetFixed64(&dec, &page_bytes) ||
+      !GetFixed64(&dec, &retired_skip_fanout) ||
       !GetFixed64(&dec, &hash_page_bytes) ||
       !GetFixed64(&dec, &block_postings) || block_postings == 0 ||
       dec.remaining() < 3) {
     return Status::Corruption("truncated index options in: " + path);
   }
   index.options_.page_bytes = page_bytes;
-  index.options_.skip_fanout = skip_fanout;
   index.options_.hash_page_bytes = hash_page_bytes;
   index.options_.block_postings = block_postings;
   index.options_.build_id_lists = dec.data[dec.pos++] != 0;
-  index.options_.build_skip = dec.data[dec.pos++] != 0;
+  ++dec.pos;  // retired build_skip flag
   index.options_.build_hash = dec.data[dec.pos++] != 0;
   uint64_t num_offsets;
   if (!GetFixed64(&dec, &num_offsets) || num_offsets == 0) {

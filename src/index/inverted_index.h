@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "container/extendible_hash.h"
-#include "container/skip_index.h"
 #include "index/collection.h"
 #include "sim/idf.h"
 #include "sketch/minhash.h"
@@ -21,26 +20,22 @@ class ThreadPool;
 struct InvertedIndexOptions {
   /// Modeled disk page size for list storage (drives page accounting).
   size_t page_bytes = 4096;
-  /// Skip-index promotion stride (paper: skip lists capped at 10MB/list;
-  /// a fanout of 64 keeps ours well under 1% of list bytes).
-  size_t skip_fanout = 64;
   /// Bucket page size of the per-list extendible hash (paper tuned 1 KiB).
   size_t hash_page_bytes = 1024;
   /// Posting-block granularity of the per-block summaries: every by-length
   /// list is covered by fixed-size blocks of this many postings, each with a
   /// {min_len, max_len, first_id, last_id} summary. Length seeks binary-
-  /// search the summaries and span reads never cross a block boundary.
+  /// search the summaries (they are the paper's skip lists) and span reads
+  /// never cross a block boundary.
   size_t block_postings = 128;
   /// Worker threads for the build passes (per-token sorting, summaries,
-  /// skip indexes, hashes; per-set signatures; the prefilter's band tables).
+  /// hashes; per-set signatures; the prefilter's band tables).
   /// 0 = auto: parallel only when the index is large enough to amortize
   /// spawning workers (see MakeBuildPool). The result is identical either
   /// way (every pass is deterministic per token, set or band).
   size_t build_threads = 0;
   /// Build the by-id sorted lists (needed by the sort-by-id baseline).
   bool build_id_lists = true;
-  /// Build per-list skip indexes (needed for skip-enabled length bounding).
-  bool build_skip = true;
   /// Build per-list extendible hashes (needed by TA/iTA random access).
   bool build_hash = true;
   /// Build per-set MinHash signatures for the sketch prefilter tier
@@ -113,9 +108,9 @@ struct IndexFileStats {
 ///    order the TA/NRA-family algorithms consume (Figure 3);
 ///  - by increasing id: consumed by the multiway sort-by-id merge (Figure 2).
 ///
-/// Each by-length list optionally carries a SkipIndex (skip to the first
-/// entry inside the Length Boundedness window) and an ExtendibleHash mapping
-/// set id -> len for TA-style random-access probes.
+/// Each by-length list carries block summaries (the skip structure: a seek
+/// to the Length Boundedness window binary-searches them) and optionally an
+/// ExtendibleHash mapping set id -> len for TA-style random-access probes.
 ///
 /// Lists are stored struct-of-arrays in CSR layout: ids and lengths in two
 /// flat arrays with a shared per-token offset table.
@@ -141,7 +136,7 @@ class InvertedIndex {
   /// len(s) are collection-wide statistics — which is what lets the serving
   /// layer (serve/sharded_selector.h) merge per-shard answers into exactly
   /// the single-index answer. Tokens absent from the range simply get empty
-  /// lists (and no skip index or hash).
+  /// lists (and no hash).
   static InvertedIndex BuildShard(const Collection& collection,
                                   const IdfMeasure& measure, SetId begin,
                                   SetId end, InvertedIndexOptions options = {});
@@ -165,11 +160,6 @@ class InvertedIndex {
   }
   const float* IdLens(TokenId t) const {
     return id_lens_.empty() ? nullptr : id_lens_.data() + offsets_[t];
-  }
-
-  /// Skip index over the by-length list, or null if not built.
-  const SkipIndex* skip(TokenId t) const {
-    return skips_.empty() ? nullptr : skips_[t].get();
   }
 
   /// Block-summary layer over the by-length lists (always built).
@@ -201,10 +191,11 @@ class InvertedIndex {
   }
 
   /// Figure 5 size accounting (bytes): the lists themselves (one sort order),
-  /// both sort orders, skip indexes, and extendible hashes.
+  /// both sort orders, skip lists, and extendible hashes. The block
+  /// summaries do the skip lists' job, so SkipBytes() reports them.
   size_t ListBytesOneOrder() const { return len_ids_.size() * 8; }
   size_t ListBytesTotal() const;
-  size_t SkipBytes() const;
+  size_t SkipBytes() const { return BlockSummaryBytes(); }
   size_t HashBytes() const;
   size_t BlockSummaryBytes() const {
     return blocks_.size() * sizeof(PostingBlockSummary);
@@ -235,8 +226,8 @@ class InvertedIndex {
   static constexpr uint32_t kVersionBlocks = 3;
   static constexpr uint32_t kVersionLatest = 4;
 
-  /// Serializes lists + options to `path` (skip/hash are derived structures
-  /// and are rebuilt on Load). `version` selects the wire format — the
+  /// Serializes lists + options to `path` (summaries and hashes are derived
+  /// structures and are rebuilt on Load). `version` selects the wire format — the
   /// latest by default; kVersionLegacy is kept writable for migration and
   /// for the format-size comparisons in the Figure 5 bench. `stats`, when
   /// non-null, receives the byte accounting of the written file.
@@ -268,7 +259,6 @@ class InvertedIndex {
   std::vector<float> len_lens_;
   std::vector<uint32_t> id_ids_;   // by id asc
   std::vector<float> id_lens_;
-  std::vector<std::unique_ptr<SkipIndex>> skips_;
   std::vector<std::unique_ptr<ExtendibleHash>> hashes_;
   std::vector<PostingBlockSummary> blocks_;  // concatenated per token
   std::vector<uint64_t> block_offsets_;      // size num_tokens + 1

@@ -22,7 +22,6 @@ struct IndexStats {
   size_t p99_list = 0;
   float min_set_length = 0.0f;
   float max_set_length = 0.0f;
-  size_t lists_with_skip = 0;
   size_t lists_with_hash = 0;
 
   /// Multi-line human-readable rendering.

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "common/logging.h"
@@ -356,49 +354,6 @@ QueryResult ShardedSelector::Scatter(const PreparedQuery& q, double tau,
   if (!status.ok()) internal::FailResult(std::move(status), &out);
   Stages().merge->Observe(static_cast<uint64_t>(merge_timer.ElapsedMicros()));
   return out;
-}
-
-std::vector<QueryResult> BatchSelect(const ShardedSelector& selector,
-                                     const std::vector<std::string>& queries,
-                                     double tau, AlgorithmKind kind,
-                                     const SelectOptions& options) {
-  std::vector<QueryResult> results(queries.size());
-  // Each query records into a private child trace that is stitched into the
-  // caller's trace as a `batch_query[i]` subtree after it completes — the
-  // caller gets one span tree covering the whole batch (see
-  // obs::QueryTrace::AdoptChild).
-  const bool traced = options.trace != nullptr;
-  obs::TraceScope batch_span(options.trace, "batch");
-  obs::QueryTrace child_trace;
-  SelectOptions per_query = options;
-  constexpr int kMaxAttempts = 3;
-  constexpr auto kBackoffBase = std::chrono::microseconds(100);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (traced) {
-      child_trace.Clear();
-      per_query.trace = &child_trace;
-    }
-    for (int attempt = 0;; ++attempt) {
-      if (traced && attempt > 0) child_trace.Clear();  // trace the last try
-      results[i] = selector.Select(queries[i], tau, kind, per_query);
-      const Status& st = results[i].status;
-      if (st.ok() || !st.IsTransient() || attempt + 1 >= kMaxAttempts) break;
-      if (per_query.control.has_deadline() &&
-          QueryControl::Clock::now() >= per_query.control.deadline) {
-        break;  // no time left to retry; surface the transient failure
-      }
-      std::this_thread::sleep_for(kBackoffBase * (1 << attempt));
-    }
-    if (traced) {
-      options.trace->AdoptChild("batch_query", static_cast<uint32_t>(i),
-                                child_trace, results[i].matches.size());
-      // The child trace is reused for the next query; the stitched parent
-      // is the only trace that outlives this call.
-      results[i].trace = options.trace;
-    }
-  }
-  batch_span.SetItems(queries.size());
-  return results;
 }
 
 }  // namespace simsel::serve

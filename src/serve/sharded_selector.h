@@ -164,20 +164,6 @@ class ShardedSelector {
   std::atomic<uint64_t> epoch_{1};
 };
 
-/// Runs one selection per query string against the sharded selector,
-/// sequentially on the calling thread — each query already fans out across
-/// the pool, so stacking inter-query parallelism on top would oversubscribe
-/// it (and worse, deadlock: Select must not run on the pool it scatters to).
-/// Results are positionally aligned with `queries`. Matches core
-/// BatchSelect's resilience contract: `options.control` applies to every
-/// query (absolute deadline, shared cancel token) and transient
-/// (kUnavailable) failures are retried up to two more times with bounded
-/// exponential backoff unless the deadline has passed.
-std::vector<QueryResult> BatchSelect(const ShardedSelector& selector,
-                                     const std::vector<std::string>& queries,
-                                     double tau, AlgorithmKind kind,
-                                     const SelectOptions& options);
-
 }  // namespace simsel::serve
 
 #endif  // SIMSEL_SERVE_SHARDED_SELECTOR_H_

@@ -28,6 +28,13 @@ double Bm25Measure::avgdl() const {
   return std::max(1.0, collection_.average_set_size());
 }
 
+double Bm25Measure::ContributionBound(const PreparedQuery& q, size_t i,
+                                      double d) const {
+  double mtf = max_tf(q.tokens[i]);
+  double k = params_.k1 * ((1.0 - params_.b) + params_.b * d / avgdl());
+  return q.weights[i] * mtf * (params_.k1 + 1.0) / (mtf + k);
+}
+
 double Bm25Measure::doc_length(SetId s) const {
   const SetRecord& set = collection_.set(s);
   return drop_tf_ ? static_cast<double>(set.tokens.size())

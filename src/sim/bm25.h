@@ -49,6 +49,11 @@ class Bm25Measure : public SimilarityMeasure {
   /// boosted-bound selection engine (core/bm25_select.h).
   uint32_t max_tf(TokenId t) const { return drop_tf_ ? 1 : max_tf_[t]; }
 
+  /// Largest contribution list i of `q` can make to a document of length
+  /// `d`: q.weights[i] · mtf·(k1+1)/(mtf + K(d)), with mtf = max_tf(q^i).
+  /// Decreasing in d; the per-list bound of BM25 Shortest-First.
+  double ContributionBound(const PreparedQuery& q, size_t i, double d) const;
+
   const Collection& collection() const { return collection_; }
 
  private:

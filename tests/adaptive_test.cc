@@ -48,7 +48,7 @@ TEST(AdaptiveTest, WindowEstimateIsPlausible) {
   const SimilaritySelector& sel = Selector();
   PreparedQuery q = sel.Prepare(sel.collection().text(21));
   PlanDecision d = ChooseAlgorithm(sel.index(), sel.measure(), q, 0.8);
-  // Compare the skip-index estimate with an exact count.
+  // The window count is exact: WindowSpan is inclusive, like Contains.
   internal::LengthWindow w = internal::ComputeLengthWindow(q, 0.8, true);
   uint64_t exact = 0, total = 0;
   for (TokenId t : q.tokens) {
@@ -58,9 +58,7 @@ TEST(AdaptiveTest, WindowEstimateIsPlausible) {
     for (size_t i = 0; i < n; ++i) exact += w.Contains(lens[i]);
   }
   EXPECT_EQ(d.total_postings, total);
-  EXPECT_NEAR(static_cast<double>(d.window_postings),
-              static_cast<double>(exact),
-              std::max<double>(4.0, 0.05 * exact));
+  EXPECT_EQ(d.window_postings, exact);
 }
 
 TEST(IndexStatsTest, AggregatesAreConsistent) {

@@ -113,5 +113,18 @@ TEST(Bm25SelectTest, PostingsOrderedByDocLength) {
   }
 }
 
+TEST(Bm25SelectTest, HonorsSelectOptions) {
+  for (bool drop_tf : {false, true}) {
+    Fixture f(drop_tf);
+    std::vector<PreparedQuery> queries;
+    for (const std::string& query :
+         testing_util::MakeQueries(f.records, 20, 5)) {
+      queries.push_back(f.Prepare(query));
+    }
+    testing_util::ExpectHonorsSelectOptions(*f.selector, *f.measure,
+                                            *f.collection, queries, 2.0);
+  }
+}
+
 }  // namespace
 }  // namespace simsel

@@ -102,30 +102,13 @@ TEST(InvertedIndexTest, HashIndexAgreesWithLists) {
   }
 }
 
-TEST(InvertedIndexTest, SkipIndexOnlyOnLongLists) {
-  InvertedIndexOptions opts;
-  opts.skip_fanout = 8;
-  Fixture f(300, opts);
-  for (TokenId t = 0; t < f.index.num_tokens(); ++t) {
-    const SkipIndex* skip = f.index.skip(t);
-    if (f.index.ListSize(t) > 8) {
-      EXPECT_NE(skip, nullptr) << "token " << t;
-    } else {
-      EXPECT_EQ(skip, nullptr) << "token " << t;
-    }
-  }
-}
-
 TEST(InvertedIndexTest, OptionalStructuresCanBeDisabled) {
   InvertedIndexOptions opts;
   opts.build_id_lists = false;
-  opts.build_skip = false;
   opts.build_hash = false;
   Fixture f(100, opts);
   EXPECT_EQ(f.index.IdIds(0), nullptr);
-  EXPECT_EQ(f.index.skip(0), nullptr);
   EXPECT_EQ(f.index.hash(0), nullptr);
-  EXPECT_EQ(f.index.SkipBytes(), 0u);
   EXPECT_EQ(f.index.HashBytes(), 0u);
 }
 
@@ -134,7 +117,8 @@ TEST(InvertedIndexTest, SizeAccounting) {
   EXPECT_EQ(f.index.ListBytesOneOrder(), f.index.total_postings() * 8);
   EXPECT_GT(f.index.ListBytesTotal(), 2 * f.index.ListBytesOneOrder());
   EXPECT_GT(f.index.HashBytes(), 0u);
-  // Skip lists are tiny relative to the lists themselves.
+  // Skip lists (the block summaries) are tiny relative to the lists.
+  EXPECT_EQ(f.index.SkipBytes(), f.index.BlockSummaryBytes());
   EXPECT_LT(f.index.SkipBytes(), f.index.ListBytesOneOrder());
 }
 
@@ -144,7 +128,6 @@ TEST(InvertedIndexTest, ValidatePasses) {
   InvertedIndexOptions bare;
   bare.build_id_lists = false;
   bare.build_hash = false;
-  bare.build_skip = false;
   Fixture minimal(150, bare);
   EXPECT_TRUE(minimal.index.Validate());
 }
@@ -166,7 +149,7 @@ TEST(InvertedIndexTest, SaveLoadRoundtrip) {
       ASSERT_EQ(loaded->IdIds(t)[i], f.index.IdIds(t)[i]);
     }
     // Derived structures are rebuilt.
-    EXPECT_EQ(loaded->skip(t) != nullptr, f.index.skip(t) != nullptr);
+    EXPECT_EQ(loaded->NumBlocks(t), f.index.NumBlocks(t));
     EXPECT_EQ(loaded->hash(t) != nullptr, f.index.hash(t) != nullptr);
   }
   EXPECT_TRUE(loaded->Validate());

@@ -15,7 +15,6 @@ struct Fixture {
         measure(collection) {
     InvertedIndexOptions opts;
     opts.page_bytes = 128;  // 16 postings per page
-    opts.skip_fanout = 8;
     index = std::make_unique<InvertedIndex>(
         InvertedIndex::Build(collection, measure, opts));
     // Pick the longest list.
@@ -55,7 +54,7 @@ TEST(ListCursorTest, NextWalksWholeList) {
   EXPECT_EQ(counters.elements_skipped, 0u);
 }
 
-TEST(ListCursorTest, SeekWithSkipIndexSkipsElements) {
+TEST(ListCursorTest, SeekWithSummariesSkipsElements) {
   Fixture f;
   AccessCounters counters;
   ListCursor cursor(*f.index, f.token, /*use_skip=*/true, &counters);

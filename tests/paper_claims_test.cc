@@ -31,7 +31,6 @@ TEST(PaperClaimsTest, UniqueLengthsAtTauOne) {
     records.push_back(rec);  // prefixes: every set strictly contains prior
   }
   BuildOptions build;
-  build.index.skip_fanout = 4;  // lists are short; make sure skips exist
   SimilaritySelector sel = SimilaritySelector::Build(records, build);
   PreparedQuery q = sel.Prepare(records[20]);
   const double tau = 0.9999;
@@ -94,7 +93,6 @@ TEST(PaperClaimsTest, SfSkipsLongFrequentLists) {
   }
   BuildOptions build;
   build.tokenizer.kind = TokenizerKind::kWord;
-  build.index.skip_fanout = 8;
   SimilaritySelector sel = SimilaritySelector::Build(records, build);
   PreparedQuery q = sel.Prepare(records[7]);
   QueryResult r = sel.SelectPrepared(q, 0.9, AlgorithmKind::kSf, Kernels());

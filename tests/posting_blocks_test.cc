@@ -17,7 +17,6 @@ InvertedIndexOptions SmallBlocks() {
   InvertedIndexOptions opts;
   opts.block_postings = 8;
   opts.page_bytes = 128;  // 16 postings per page
-  opts.skip_fanout = 8;
   return opts;
 }
 

@@ -37,7 +37,6 @@ const SimilaritySelector& Selector() {
     build.tokenizer.q = 3;
     build.build_sql_baseline = true;
     build.index.page_bytes = 512;
-    build.index.skip_fanout = 8;
     build.index.hash_page_bytes = 256;
     build.btree_page_bytes = 512;
     return new SimilaritySelector(

@@ -35,7 +35,6 @@ ShardedSelectorOptions SmallServe(size_t shards) {
   o.num_shards = shards;
   o.build.tokenizer.q = 3;
   o.build.index.page_bytes = 512;
-  o.build.index.skip_fanout = 8;
   o.build.index.hash_page_bytes = 256;
   return o;
 }

@@ -42,7 +42,6 @@ BuildOptions SmallBuild() {
   BuildOptions build;
   build.tokenizer.q = 3;
   build.index.page_bytes = 512;
-  build.index.skip_fanout = 8;
   build.index.hash_page_bytes = 256;
   return build;
 }
@@ -233,7 +232,7 @@ TEST(ShardedSelectorTest, BatchSelectMatchesSerialLoop) {
   sharded.set_thread_pool(&pool);
   std::vector<std::string> queries = MakeQueries(records, 8, 31);
   std::vector<QueryResult> batch =
-      serve::BatchSelect(sharded, queries, 0.6, AlgorithmKind::kSf, {});
+      BatchSelect(sharded, queries, 0.6, AlgorithmKind::kSf, {}, nullptr);
   ASSERT_EQ(batch.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     QueryResult serial = sharded.Select(queries[i], 0.6, AlgorithmKind::kSf);

@@ -8,12 +8,14 @@
 #include "btree/bplus_tree.h"
 #include "common/rng.h"
 #include "container/extendible_hash.h"
-#include "container/skip_index.h"
+#include "index/collection.h"
+#include "index/inverted_index.h"
+#include "text/tokenizer.h"
 
 namespace simsel {
 namespace {
 
-// --- Skip index: fanout × distribution sweep. ---
+// --- Block-summary seeks: block size × distribution sweep. ---
 
 enum class Distribution { kUniform, kClustered, kConstant, kSteps };
 
@@ -47,39 +49,58 @@ std::vector<float> MakeLengths(Distribution dist, size_t n, uint64_t seed) {
   return v;
 }
 
-class SkipIndexSweep
+// An index whose every list holds `lens` in order: each record is the same
+// single word, and set s gets length lens[s] (already sorted, so the
+// by-(len, id) order is the input order).
+InvertedIndex SingleListIndex(const std::vector<float>& lens,
+                              size_t block_postings) {
+  Tokenizer tokenizer(TokenizerOptions{.kind = TokenizerKind::kWord});
+  Collection collection = Collection::Build(
+      std::vector<std::string>(lens.size(), "x"), tokenizer);
+  InvertedIndexOptions opts;
+  opts.block_postings = block_postings;
+  opts.build_id_lists = false;
+  opts.build_hash = false;
+  return InvertedIndex::BuildWithLengths(collection, lens, opts);
+}
+
+class SummarySeekSweep
     : public ::testing::TestWithParam<std::tuple<size_t, Distribution>> {};
 
-TEST_P(SkipIndexSweep, AlwaysMatchesLowerBound) {
-  const auto& [fanout, dist] = GetParam();
-  std::vector<float> v = MakeLengths(dist, 4000, 7 + fanout);
-  SkipIndex skip(v.data(), v.size(), fanout);
+TEST_P(SummarySeekSweep, MatchesLowerAndUpperBound) {
+  const auto& [block, dist] = GetParam();
+  std::vector<float> v = MakeLengths(dist, 4000, 7 + block);
+  InvertedIndex index = SingleListIndex(v, block);
+  ASSERT_EQ(index.num_tokens(), 1u);
+  ASSERT_EQ(index.ListSize(0), v.size());
+  auto expect_bounds = [&](float target) {
+    const size_t lower = static_cast<size_t>(
+        std::lower_bound(v.begin(), v.end(), target) - v.begin());
+    const size_t upper = static_cast<size_t>(
+        std::upper_bound(v.begin(), v.end(), target) - v.begin());
+    ASSERT_EQ(index.SeekFirstGE(0, target), lower)
+        << "block=" << block << " target=" << target;
+    ASSERT_EQ(index.SeekFirstGT(0, target), upper)
+        << "block=" << block << " target=" << target;
+  };
   Rng rng(99);
   for (int probe = 0; probe < 300; ++probe) {
-    float target = static_cast<float>(rng.NextDouble() * 110.0 - 5.0);
-    size_t expected = static_cast<size_t>(
-        std::lower_bound(v.begin(), v.end(), target) - v.begin());
-    ASSERT_EQ(skip.SeekFirstGE(target), expected)
-        << "fanout=" << fanout << " target=" << target;
+    expect_bounds(static_cast<float>(rng.NextDouble() * 110.0 - 5.0));
   }
   // Probe exact stored values too (duplicate-heavy distributions).
-  for (size_t i = 0; i < v.size(); i += 131) {
-    size_t expected = static_cast<size_t>(
-        std::lower_bound(v.begin(), v.end(), v[i]) - v.begin());
-    ASSERT_EQ(skip.SeekFirstGE(v[i]), expected);
-  }
+  for (size_t i = 0; i < v.size(); i += 131) expect_bounds(v[i]);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    FanoutsAndDistributions, SkipIndexSweep,
-    ::testing::Combine(::testing::Values(2, 3, 8, 64, 1024),
+    BlockSizesAndDistributions, SummarySeekSweep,
+    ::testing::Combine(::testing::Values(2, 3, 8, 128),
                        ::testing::Values(Distribution::kUniform,
                                          Distribution::kClustered,
                                          Distribution::kConstant,
                                          Distribution::kSteps)),
     ([](const auto& info) {
       const char* names[] = {"Uniform", "Clustered", "Constant", "Steps"};
-      return "f" + std::to_string(std::get<0>(info.param)) +
+      return "b" + std::to_string(std::get<0>(info.param)) +
              names[static_cast<int>(std::get<1>(info.param))];
     }));
 

@@ -3,13 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/linear_scan.h"
 #include "core/selector.h"
 #include "gen/corpus.h"
 #include "gen/error_model.h"
+#include "storage/fault_injector.h"
+#include "storage/posting_store.h"
 #include "text/tokenizer.h"
 
 namespace simsel {
@@ -37,10 +42,8 @@ inline SimilaritySelector MakeSelector(size_t n, uint64_t seed,
   build.tokenizer.q = 3;
   build.build_sql_baseline = with_sql;
   build.index.build_sketches = with_sketches;
-  // Small pages so page accounting and skip indexes are exercised even on
-  // test-sized lists.
+  // Small pages so page accounting is exercised even on test-sized lists.
   build.index.page_bytes = 512;
-  build.index.skip_fanout = 8;
   build.index.hash_page_bytes = 256;
   build.btree_page_bytes = 512;
   return SimilaritySelector::Build(MakeWordRecords(n, seed), build);
@@ -71,6 +74,78 @@ inline void ExpectSameMatches(const std::vector<Match>& expected,
     EXPECT_EQ(expected[i].id, actual[i].id) << context << " at rank " << i;
     EXPECT_DOUBLE_EQ(expected[i].score, actual[i].score)
         << context << " score of id " << actual[i].id;
+  }
+}
+
+/// Asserts a tripped query's answer is sound: every match is in the complete
+/// answer with the identical score, in canonical ascending-id order.
+inline void ExpectSoundPartial(const QueryResult& full,
+                               const QueryResult& partial,
+                               const std::string& context) {
+  EXPECT_TRUE(partial.status.ok()) << context;
+  EXPECT_EQ(partial.counters.results, partial.matches.size()) << context;
+  size_t fi = 0;
+  for (const Match& m : partial.matches) {
+    while (fi < full.matches.size() && full.matches[fi].id < m.id) ++fi;
+    ASSERT_TRUE(fi < full.matches.size() && full.matches[fi].id == m.id)
+        << context << ": partial reported id " << m.id
+        << " absent from the complete answer";
+    EXPECT_EQ(full.matches[fi].score, m.score) << context << " id " << m.id;
+  }
+  for (size_t i = 1; i < partial.matches.size(); ++i) {
+    EXPECT_LT(partial.matches[i - 1].id, partial.matches[i].id) << context;
+  }
+}
+
+/// Checks that a selector running the shared Shortest-First loop (TfIdfSelector,
+/// Bm25Selector) honors SelectOptions like every strategy, per query: a
+/// preset cancel token reports kCancelled; a one-element budget trips into a
+/// sound partial; τ ∈ {NaN, -1, 0} answers like the (clamping) linear scan;
+/// disk mode over PostingStore::Build(index) equals memory mode; and a
+/// storage outage surfaces as kUnavailable with no matches.
+template <class Selector>
+void ExpectHonorsSelectOptions(const Selector& selector,
+                               const SimilarityMeasure& measure,
+                               const Collection& collection,
+                               const std::vector<PreparedQuery>& queries,
+                               double tau) {
+  std::atomic<bool> cancel{true};
+  SelectOptions cancelled;
+  cancelled.control.cancel = &cancel;
+  SelectOptions budget;
+  budget.control.max_elements_read = 1;
+  PostingStore store = PostingStore::Build(selector.index());
+  FaultInjector injector;
+  store.set_fault_injector(&injector);
+  SelectOptions disk;
+  disk.posting_store = &store;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const PreparedQuery& q = queries[i];
+    const std::string context = "query " + std::to_string(i);
+    const QueryResult full = selector.Select(q, tau);
+    EXPECT_EQ(selector.Select(q, tau, cancelled).termination,
+              Termination::kCancelled)
+        << context;
+    if (full.counters.elements_read >= 2) {  // enough work to trip on
+      QueryResult partial = selector.Select(q, tau, budget);
+      EXPECT_EQ(partial.termination, Termination::kBudget) << context;
+      ExpectSoundPartial(full, partial, context);
+    }
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0, 0.0}) {
+      ExpectSameMatches(LinearScanSelect(measure, collection, q, bad).matches,
+                        selector.Select(q, bad).matches,
+                        context + " tau=" + std::to_string(bad));
+    }
+    QueryResult on_disk = selector.Select(q, tau, disk);
+    ExpectSameMatches(full.matches, on_disk.matches, context + " disk");
+    EXPECT_EQ(full.counters.elements_read, on_disk.counters.elements_read)
+        << context;
+    if (on_disk.counters.elements_read == 0) continue;  // no read to fail
+    injector.FailNextReads(1'000'000);
+    QueryResult failed = selector.Select(q, tau, disk);
+    injector.Reset();
+    EXPECT_EQ(failed.status.code(), StatusCode::kUnavailable) << context;
+    EXPECT_TRUE(failed.matches.empty()) << context;
   }
 }
 

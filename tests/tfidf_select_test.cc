@@ -127,5 +127,15 @@ TEST(TfIdfSelectTest, SelfMatchAtHighThreshold) {
   }
 }
 
+TEST(TfIdfSelectTest, HonorsSelectOptions) {
+  const Fixture& f = F();
+  std::vector<PreparedQuery> queries;
+  for (const std::string& query : testing_util::MakeQueries(f.records, 20, 5)) {
+    queries.push_back(f.Prepare(query));
+  }
+  testing_util::ExpectHonorsSelectOptions(*f.selector, *f.measure,
+                                          *f.collection, queries, 0.5);
+}
+
 }  // namespace
 }  // namespace simsel
