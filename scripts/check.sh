@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Developer gate: ten legs, all required.
+# Developer gate: eleven legs, all required.
 #
 #   1. AddressSanitizer: warnings-as-errors build + the full test suite
 #      (build-asan/).
@@ -55,10 +55,16 @@
 #      workloads (grid-mem, grid-disk, serve-rw) for 20 s; every run must
 #      exit 0 and end with a result line reporting "correct": true. 20 s is
 #      the shortest run that gives serve-rw its 1000 samples per sub-leg.
+#  11. Work table: scripts/work_table.py runs grid-mem and grid-disk for
+#      seeds 1-3 and compares every grid cell's op count and mean elements
+#      read exactly against bench/baselines/WORK_grid.json — the paper's
+#      cost unit, free of timing noise, so it runs even when the timing legs
+#      are skipped. A change that moves a count must regenerate the baseline
+#      (scripts/work_table.py --update) and explain the shift.
 #
 # Usage:
 #
-#   scripts/check.sh                       # all ten legs
+#   scripts/check.sh                       # all eleven legs
 #   SIMSEL_CHECK_TSAN=1 scripts/check.sh   # widen the TSan leg to the full suite
 #   SIMSEL_CHECK_SKIP_BENCH=1 scripts/check.sh  # skip legs 8-10 (e.g. loaded CI box)
 #
@@ -150,5 +156,8 @@ else
   echo "== check.sh leg 10/10: benchmark smoke (simbench, all three workloads) =="
   scripts/bench_smoke.sh
 fi
+
+echo "== check.sh leg 11: work table vs bench/baselines/WORK_grid.json =="
+scripts/work_table.py
 
 echo "check.sh: all legs passed"

@@ -182,8 +182,8 @@ class DynamicSelector {
   /// cached query answer stamped with the version at execution time
   /// (QueryResult::snapshot_version) is valid exactly while the version is
   /// unchanged — this is the epoch the serving layer's result cache keys on
-  /// (serve/result_cache.h, ShardedSelector::SetEpoch), so one integer
-  /// compare invalidates every stale entry without scanning the cache.
+  /// (serve/result_cache.h, DynamicServing), so one integer compare
+  /// invalidates every stale entry without scanning the cache.
   ///
   /// Ordering: the counter is released *after* the content change it
   /// stamps is visible (delta publish / segment swap), so an observer that

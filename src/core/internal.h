@@ -133,31 +133,6 @@ inline void VerifyPartialCandidates(const SimilarityMeasure& measure,
   }
 }
 
-/// The one id-order merge kernel, shared by SortByIdSelect (the whole id
-/// space) and ParallelSortByIdSelect (one id range per worker). It merges
-/// the postings with ids in [lo_id, hi_id) into `out`, appending matches in
-/// ascending id order.
-///
-/// The id space is walked in windows of 4096 ids, jumping straight to the
-/// window of the smallest unread list head. Inside a window the lists are
-/// walked in ascending query index, adding q.weights[i] into a per-thread,
-/// directly addressed accumulator slot per id — the same additions in the
-/// same order as IdfMeasure::ScoreFromBits, so scores are bit-identical.
-/// At the window's end the touched slots are emitted in id order.
-///
-/// Accounting: every posting in the range is read once, in id order. Pages
-/// are charged per consumed position range [b, e) of a list as
-/// ⌈e/P⌉ − ⌈b/P⌉ (P postings per page), which telescopes to ⌈size/P⌉ over
-/// any partition of a list. Without an active control the charges are
-/// hoisted; with one they are made per list segment, the control is polled
-/// once per window and after every non-empty list segment, and a tripped
-/// window's partial sums are dropped (finished windows are exact, so the
-/// result is a sound subset). Unread tails count as elements_skipped.
-void SortByIdMergeRange(const InvertedIndex& index, const IdfMeasure& measure,
-                        const PreparedQuery& q, double tau, uint64_t lo_id,
-                        uint64_t hi_id, const QueryControl& control,
-                        QueryResult* out);
-
 /// Marks `result` failed: matches are cleared (a lost read means they can no
 /// longer be trusted), the status is recorded, counters stay (they reflect
 /// work actually done).

@@ -1,5 +1,7 @@
 #include "core/linear_scan.h"
 
+#include <algorithm>
+
 #include "core/internal.h"
 
 namespace simsel {
@@ -7,14 +9,16 @@ namespace simsel {
 QueryResult LinearScanSelect(const SimilarityMeasure& measure,
                              const Collection& collection,
                              const PreparedQuery& q, double tau,
-                             const SelectOptions& options) {
+                             const SelectOptions& options, SetId begin,
+                             SetId end) {
   tau = internal::ClampTau(tau);
+  end = std::min<SetId>(end, static_cast<SetId>(collection.size()));
   QueryResult result;
   internal::ControlPoller poller(options.control, result.counters);
-  for (SetId s = 0; s < collection.size(); ++s) {
+  for (SetId s = begin; s < end; ++s) {
     // Control poll once per batch of rows; a trip leaves the literal
-    // id-prefix [0, s) scanned so far, every score exact.
-    if ((s & 1023u) == 0 && poller.ShouldStop()) {
+    // id-prefix [begin, s) scanned so far, every score exact.
+    if (((s - begin) & 1023u) == 0 && poller.ShouldStop()) {
       result.termination = poller.termination();
       break;
     }

@@ -1,10 +1,8 @@
 #ifndef SIMSEL_CORE_PARALLEL_H_
 #define SIMSEL_CORE_PARALLEL_H_
 
-#include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -15,13 +13,14 @@ namespace simsel {
 /// Parallel execution of set similarity selections — the paper's future-work
 /// item ("we plan to ... devise parallel versions of all algorithms").
 ///
-/// Two complementary strategies are provided:
+/// Two complementary strategies exist:
 ///  - inter-query: BatchSelect runs a workload of independent queries across
 ///    a thread pool (the front doors are const-thread-compatible), the
 ///    bread-and-butter parallelism of a similarity-search service;
-///  - intra-query: ParallelLinearScanSelect shards the collection across
-///    workers for one query, the pattern a partitioned deployment would use
-///    per partition.
+///  - intra-query: serve::ShardedSelector partitions the collection into
+///    segments and runs one query's algorithm over every segment on its
+///    pool (any algorithm but kSql), the pattern a partitioned deployment
+///    uses per partition.
 
 namespace internal {
 
@@ -69,47 +68,6 @@ std::vector<QueryResult> BatchSelect(const Selector& selector,
         return selector.Select(queries[i], tau, kind, per_query);
       });
 }
-
-/// Exhaustive scan sharded over the pool; exact same result (ids, canonical
-/// scores, ascending id order) as LinearScanSelect. Counters are pooled.
-/// Only `options.control` is honored. Deadline and cancellation are polled
-/// by every shard; the element budget is checked against each shard's own
-/// counters (a per-shard approximation — a parallel scan may read up to
-/// `shards` times the budget before every worker trips).
-QueryResult ParallelLinearScanSelect(const SimilarityMeasure& measure,
-                                     const Collection& collection,
-                                     const PreparedQuery& q, double tau,
-                                     ThreadPool* pool,
-                                     const SelectOptions& options = {});
-
-/// Intra-query parallel sort-by-id merge: the id space is partitioned into
-/// one contiguous range per worker, and each worker runs SortByIdSelect's
-/// kernel (internal::SortByIdMergeRange) over its range. Ranges are
-/// disjoint, so results concatenate in id order with no cross-thread
-/// coordination — the "parallel version" of the paper's Section III-B
-/// baseline. Exact same matches, elements read and page reads as
-/// SortByIdSelect (the per-range page charges telescope to the serial
-/// per-list totals). Only `options.control` is honored, with the same
-/// per-shard budget approximation as ParallelLinearScanSelect; a tripped
-/// shard reports the matches of its finished windows.
-QueryResult ParallelSortByIdSelect(const InvertedIndex& index,
-                                   const IdfMeasure& measure,
-                                   const PreparedQuery& q, double tau,
-                                   ThreadPool* pool,
-                                   const SelectOptions& options = {});
-
-namespace internal {
-
-/// Half-open id range [lo, hi) that shard `shard` of `shards` merges when
-/// the largest id in any query list is `max_id`. 64-bit bounds: the last
-/// shard's exclusive bound is max_id + 1, which would wrap to 0 in uint32_t
-/// when max_id == UINT32_MAX and silently drop every match in that shard.
-/// Ranges are clamped so lo <= hi <= max_id + 1 even when shards outnumber
-/// ids. Exposed for regression testing.
-std::pair<uint64_t, uint64_t> SortByIdShardRange(uint32_t max_id,
-                                                 size_t shards, size_t shard);
-
-}  // namespace internal
 
 }  // namespace simsel
 

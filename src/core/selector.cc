@@ -4,15 +4,7 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
-#include "core/hybrid.h"
-#include "core/inra.h"
-#include "core/linear_scan.h"
-#include "core/nra.h"
-#include "core/prefix_filter.h"
-#include "core/sf.h"
-#include "core/sort_by_id.h"
 #include "core/sql_baseline.h"
-#include "core/ta.h"
 #include "core/topk.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
@@ -143,9 +135,11 @@ SimilaritySelector SimilaritySelector::Build(
   sel.collection_ =
       std::make_unique<Collection>(Collection::Build(records, sel.tokenizer_));
   sel.measure_ = std::make_unique<IdfMeasure>(*sel.collection_);
-  sel.index_ = std::make_unique<InvertedIndex>(
+  sel.segment_.end = static_cast<SetId>(sel.collection_->size());
+  sel.segment_.index = std::make_unique<InvertedIndex>(
       InvertedIndex::Build(*sel.collection_, *sel.measure_, options.index));
-  sel.prefilter_ = sketch::AttachPrefilter(*sel.measure_, *sel.index_);
+  sel.segment_.prefilter =
+      sketch::AttachPrefilter(*sel.measure_, *sel.segment_.index);
   if (options.build_sql_baseline) {
     GramTable::Tree::Options tree_options;
     tree_options.page_bytes = options.btree_page_bytes;
@@ -165,8 +159,10 @@ Result<SimilaritySelector> SimilaritySelector::BuildWithSavedIndex(
   sel.collection_ =
       std::make_unique<Collection>(Collection::Build(records, sel.tokenizer_));
   sel.measure_ = std::make_unique<IdfMeasure>(*sel.collection_);
-  sel.index_ =
+  sel.segment_.end = static_cast<SetId>(sel.collection_->size());
+  sel.segment_.index =
       std::make_unique<InvertedIndex>(std::move(loaded).value());
+  const InvertedIndex& index = *sel.segment_.index;
   uint64_t expected = 0;
   for (SetId s = 0; s < sel.collection_->size(); ++s) {
     expected += sel.collection_->set(s).tokens.size();
@@ -176,26 +172,26 @@ Result<SimilaritySelector> SimilaritySelector::BuildWithSavedIndex(
   // the collection (postings and tokens alone cannot tell — empty records
   // add neither).
   const bool sketch_mismatch =
-      sel.index_->has_sketches() &&
-      (sel.index_->sketch_begin() != 0 ||
-       sel.index_->sketch_num_sets() != sel.collection_->size());
-  if (sel.index_->total_postings() != expected ||
-      sel.index_->num_tokens() != sel.collection_->dictionary().size() ||
+      index.has_sketches() &&
+      (index.sketch_begin() != 0 ||
+       index.sketch_num_sets() != sel.collection_->size());
+  if (index.total_postings() != expected ||
+      index.num_tokens() != sel.collection_->dictionary().size() ||
       sketch_mismatch) {
     SIMSEL_LOG(kWarn) << "index at " << index_path
                       << " does not match the supplied records ("
-                      << sel.index_->total_postings() << " postings, expected "
+                      << index.total_postings() << " postings, expected "
                       << expected << ")";
     return Status::Corruption(
         "index at " + index_path + " does not match the supplied records");
   }
   SIMSEL_LOG(kInfo) << "loaded index from " << index_path << " ("
-                    << sel.index_->num_tokens() << " lists, "
-                    << sel.index_->total_postings() << " postings)";
+                    << index.num_tokens() << " lists, "
+                    << index.total_postings() << " postings)";
   // The banding tables and partition router are derived structures (like
   // block summaries), deterministically recomputed from the persisted
   // signatures + collection statistics.
-  sel.prefilter_ = sketch::AttachPrefilter(*sel.measure_, *sel.index_);
+  sel.segment_.prefilter = sketch::AttachPrefilter(*sel.measure_, index);
   if (options.build_sql_baseline) {
     GramTable::Tree::Options tree_options;
     tree_options.page_bytes = options.btree_page_bytes;
@@ -232,40 +228,13 @@ QueryResult SimilaritySelector::Dispatch(const PreparedQuery& q, double tau,
                                          AlgorithmKind kind,
                                          const SelectOptions& options) const {
   obs::TraceScope span(options.trace, AlgorithmKindName(kind));
-  if (options.prefilter && prefilter_ != nullptr &&
-      sketch::PrefilterEligible(kind)) {
-    QueryResult out;
-    if (prefilter_->TrySelect(q, tau, options, &out)) return out;
+  if (kind == AlgorithmKind::kSql) {
+    SIMSEL_CHECK_MSG(gram_table_ != nullptr,
+                     "SQL baseline requires build_sql_baseline");
+    return SqlBaselineSelect(*gram_table_, *measure_, q, tau, options);
   }
-  switch (kind) {
-    case AlgorithmKind::kLinearScan:
-      return LinearScanSelect(*measure_, *collection_, q, tau, options);
-    case AlgorithmKind::kSql:
-      SIMSEL_CHECK_MSG(gram_table_ != nullptr,
-                       "SQL baseline requires build_sql_baseline");
-      return SqlBaselineSelect(*gram_table_, *measure_, q, tau, options);
-    case AlgorithmKind::kSortById:
-      return SortByIdSelect(*index_, *measure_, q, tau, options);
-    case AlgorithmKind::kTa:
-      // Classic TA: semantic-property flags forced off, but environment
-      // options (buffer pool, posting store) still apply.
-      return internal::TaEngineSelect(*index_, *measure_, q, tau, options,
-                                      /*improved=*/false);
-    case AlgorithmKind::kNra:
-      return NraSelect(*index_, *measure_, q, tau, options);
-    case AlgorithmKind::kIta:
-      return ItaSelect(*index_, *measure_, q, tau, options);
-    case AlgorithmKind::kInra:
-      return InraSelect(*index_, *measure_, q, tau, options);
-    case AlgorithmKind::kSf:
-      return SfSelect(*index_, *measure_, q, tau, options);
-    case AlgorithmKind::kHybrid:
-      return HybridSelect(*index_, *measure_, q, tau, options);
-    case AlgorithmKind::kPrefixFilter:
-      return PrefixFilterSelect(*index_, *measure_, q, tau, options);
-  }
-  SIMSEL_CHECK_MSG(false, "unknown algorithm kind");
-  return QueryResult{};
+  return SelectSegment(segment_, *measure_, *collection_, q, tau, kind,
+                       options);
 }
 
 QueryResult SimilaritySelector::Select(std::string_view query, double tau,
@@ -283,8 +252,8 @@ QueryResult SimilaritySelector::Select(std::string_view query, double tau,
 
 QueryResult SimilaritySelector::SelectTopK(std::string_view query, size_t k,
                                            const SelectOptions& options) const {
-  QueryResult result = TopKSelect(*index_, *measure_, Prepare(query), k,
-                                  options);
+  QueryResult result = TopKSelect(*segment_.index, *measure_, Prepare(query),
+                                  k, options);
   result.trace = options.trace;
   FlushQueryCounters(result.counters);
   return result;
@@ -293,15 +262,16 @@ QueryResult SimilaritySelector::SelectTopK(std::string_view query, size_t k,
 IndexSizeReport SimilaritySelector::Sizes() const {
   IndexSizeReport report;
   report.base_table = collection_->BaseTableBytes();
-  report.inverted_lists = index_->ListBytesTotal();
-  report.skip_lists = index_->SkipBytes();
-  report.extendible_hash = index_->HashBytes();
+  const InvertedIndex& index = *segment_.index;
+  report.inverted_lists = index.ListBytesTotal();
+  report.skip_lists = index.SkipBytes();
+  report.extendible_hash = index.HashBytes();
   if (gram_table_ != nullptr) {
     report.gram_table = gram_table_->RowBytes();
     report.btree = gram_table_->BTreeBytes();
   }
-  report.sketches = index_->SketchBytes();
-  if (prefilter_ != nullptr) report.sketches += prefilter_->DerivedBytes();
+  report.sketches = index.SketchBytes();
+  if (prefilter() != nullptr) report.sketches += prefilter()->DerivedBytes();
   return report;
 }
 

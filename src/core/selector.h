@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/segment.h"
 #include "core/types.h"
 #include "index/inverted_index.h"
 #include "rel/gram_table.h"
@@ -91,7 +92,7 @@ class SimilaritySelector {
   /// layout for migration tooling.
   Status SaveIndex(const std::string& index_path,
                    uint32_t version = InvertedIndex::kVersionLatest) const {
-    return index_->Save(index_path, version);
+    return segment_.index->Save(index_path, version);
   }
 
   /// Selection: every set with IDF similarity >= tau, via `kind`
@@ -122,27 +123,31 @@ class SimilaritySelector {
   const Tokenizer& tokenizer() const { return tokenizer_; }
   const Collection& collection() const { return *collection_; }
   const IdfMeasure& measure() const { return *measure_; }
-  const InvertedIndex& index() const { return *index_; }
+  const InvertedIndex& index() const { return *segment_.index; }
   /// Null unless built with build_sql_baseline.
   const GramTable* gram_table() const { return gram_table_.get(); }
   /// The sketch prefilter tier; null when the index carries no sketches.
-  const sketch::Prefilter* prefilter() const { return prefilter_.get(); }
+  const sketch::Prefilter* prefilter() const {
+    return segment_.prefilter.get();
+  }
 
   IndexSizeReport Sizes() const;
 
  private:
   SimilaritySelector() = default;
 
-  /// The algorithm switch, wrapped by SelectPrepared's timing/metrics.
+  /// kSql over the relational baseline, every other kind through
+  /// SelectSegment; wrapped by SelectPrepared's timing/metrics.
   QueryResult Dispatch(const PreparedQuery& q, double tau, AlgorithmKind kind,
                        const SelectOptions& options) const;
 
   Tokenizer tokenizer_;
   std::unique_ptr<Collection> collection_;
   std::unique_ptr<IdfMeasure> measure_;
-  std::unique_ptr<InvertedIndex> index_;
+  // [0, N) with no store of its own: disk mode comes from the caller's
+  // SelectOptions::posting_store.
+  Segment segment_;
   std::unique_ptr<GramTable> gram_table_;
-  std::unique_ptr<sketch::Prefilter> prefilter_;
 };
 
 }  // namespace simsel

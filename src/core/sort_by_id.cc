@@ -9,8 +9,6 @@
 
 namespace simsel {
 
-namespace internal {
-
 namespace {
 
 constexpr uint32_t kWindowIds = 4096;
@@ -33,41 +31,44 @@ inline uint64_t PagesStarting(size_t begin, size_t end, size_t per_page) {
   return (end + per_page - 1) / per_page - (begin + per_page - 1) / per_page;
 }
 
+struct ListSlice {
+  const uint32_t* ids;
+  const float* lens;
+  size_t pos;
+  size_t end;
+};
+
 }  // namespace
 
-void SortByIdMergeRange(const InvertedIndex& index, const IdfMeasure& measure,
-                        const PreparedQuery& q, double tau, uint64_t lo_id,
-                        uint64_t hi_id, const QueryControl& control,
-                        QueryResult* out) {
-  struct ListSlice {
-    const uint32_t* ids;
-    const float* lens;
-    size_t pos;
-    size_t end;
-  };
+QueryResult SortByIdSelect(const InvertedIndex& index,
+                           const IdfMeasure& measure, const PreparedQuery& q,
+                           double tau, const SelectOptions& options) {
+  QueryResult result;
   const size_t n = q.tokens.size();
+  if (n == 0) return result;
+  SIMSEL_CHECK_MSG(index.options().build_id_lists,
+                   "sort-by-id needs an index built with build_id_lists");
+  tau = internal::ClampTau(tau);
   const size_t per_page = index.entries_per_page();
-  AccessCounters& counters = out->counters;
-  ControlPoller poller(control, counters);
-  // Without a control every slice is drained, so the accounting is known up
+  AccessCounters& counters = result.counters;
+  internal::ControlPoller poller(options.control, counters);
+  // Without a control every list is drained, so the accounting is known up
   // front. With an active control the charges move to the list segments so
   // a budget poll (and a tripped result) sees the work actually done.
-  const bool metered = control.active();
+  const bool metered = options.control.active();
 
   std::vector<ListSlice> lists(n);
-  uint64_t head = kNoHead;  // smallest unread id over all slices
+  uint64_t head = kNoHead;  // smallest unread id over all lists
   for (size_t i = 0; i < n; ++i) {
-    const uint32_t* ids = index.IdIds(q.tokens[i]);
     const size_t size = index.ListSize(q.tokens[i]);
-    const size_t begin = std::lower_bound(ids, ids + size, lo_id) - ids;
-    const size_t end = std::lower_bound(ids + begin, ids + size, hi_id) - ids;
-    lists[i] = ListSlice{ids, index.IdLens(q.tokens[i]), begin, end};
-    counters.elements_total += end - begin;
+    lists[i] = ListSlice{index.IdIds(q.tokens[i]), index.IdLens(q.tokens[i]),
+                         0, size};
+    counters.elements_total += size;
     if (!metered) {
-      counters.elements_read += end - begin;
-      counters.seq_page_reads += PagesStarting(begin, end, per_page);
+      counters.elements_read += size;
+      counters.seq_page_reads += PagesStarting(0, size, per_page);
     }
-    if (begin < end) head = std::min<uint64_t>(head, ids[begin]);
+    if (size > 0) head = std::min<uint64_t>(head, lists[i].ids[0]);
   }
 
   thread_local WindowAccumulator tls_acc;
@@ -118,33 +119,19 @@ void SortByIdMergeRange(const InvertedIndex& index, const IdfMeasure& measure,
         if (tripped) continue;
         const double score = measure.ScoreFromSum(q, sum, acc.len[slot]);
         if (score >= tau) {
-          out->matches.push_back(Match{static_cast<SetId>(base + slot), score});
+          result.matches.push_back(
+              Match{static_cast<SetId>(base + slot), score});
         }
       }
     }
     if (tripped) break;
   }
   if (tripped) {
-    out->termination = poller.termination();
+    result.termination = poller.termination();
     for (const ListSlice& ls : lists) {
       counters.elements_skipped += ls.end - ls.pos;
     }
   }
-}
-
-}  // namespace internal
-
-QueryResult SortByIdSelect(const InvertedIndex& index,
-                           const IdfMeasure& measure, const PreparedQuery& q,
-                           double tau, const SelectOptions& options) {
-  QueryResult result;
-  if (q.tokens.empty()) return result;
-  SIMSEL_CHECK_MSG(index.options().build_id_lists,
-                   "sort-by-id needs an index built with build_id_lists");
-  internal::SortByIdMergeRange(
-      index, measure, q, internal::ClampTau(tau), 0,
-      uint64_t{std::numeric_limits<uint32_t>::max()} + 1, options.control,
-      &result);
   result.counters.results = result.matches.size();
   return result;
 }

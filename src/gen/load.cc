@@ -301,6 +301,10 @@ bool ParseResponse(std::string_view line, Response* out) {
   if (!ParseU64(sversion, &out->version) || !ParseU64(scount, &count)) {
     return false;
   }
+  // Each pair takes at least 3 bytes ("1:2") plus a separator, so a count
+  // the rest of the line cannot hold is rejected before it sizes anything:
+  // the count comes straight off the wire.
+  if (count > (rest.size() + 1) / 4) return false;
   out->matches.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     std::string_view pair;

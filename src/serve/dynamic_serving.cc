@@ -41,30 +41,15 @@ QueryResult DynamicServing::Select(std::string_view query, double tau,
                                    const SelectOptions& options) const {
   DynamicSelector::Snapshot snap = selector_.snapshot();
   PreparedQuery q = snap.Prepare(query);
-  double clamped = internal::ClampTau(tau);
-  std::string key;
-  if (cache_ != nullptr) {
-    key = ResultCache::MakeKey(q, clamped, kind, options,
-                               selector_.disk_mode(),
-                               snap.main().measure().name());
-    // The lookup version is the pinned snapshot's: key and execution then
-    // agree on one frozen-statistics generation even if a rebuild swap
-    // lands between them.
-    CachedResult cached;
-    if (cache_->Lookup(key, snap.version(), &cached)) {
-      QueryResult out;
-      out.matches = std::move(cached.matches);
-      out.counters = cached.counters;
-      out.snapshot_version = snap.version();
-      out.trace = options.trace;
-      return out;
-    }
-  }
-  QueryResult out = snap.SelectPrepared(q, clamped, kind, options);
-  if (cache_ != nullptr && out.complete() && out.delta_covered) {
-    cache_->Insert(key, out.snapshot_version, out.matches, out.counters);
-  }
-  return out;
+  const double clamped = internal::ClampTau(tau);
+  // The cache epoch is the pinned snapshot's version: key and execution
+  // then agree on one frozen-statistics generation even if a rebuild swap
+  // lands between them.
+  return CachedSelect(cache_.get(), q, clamped, kind, options,
+                      selector_.disk_mode(), snap.main().measure().name(),
+                      snap.version(), options.trace, [&] {
+                        return snap.SelectPrepared(q, clamped, kind, options);
+                      });
 }
 
 }  // namespace simsel::serve

@@ -31,15 +31,15 @@ struct DynamicServingOptions {
 /// The read-write serving layer: a DynamicSelector fronted by a versioned
 /// ResultCache, with an automatic online-rebuild policy.
 ///
-/// This is the dynamic counterpart of ShardedSelector's caching: every
-/// cache entry is stamped with the selector version of the snapshot that
-/// produced it (QueryResult::snapshot_version), and lookups present the
-/// *current* version — so one atomic counter bump per AddRecord/Rebuild
-/// invalidates every stale answer in O(1), exactly the
-/// `ShardedSelector::SetEpoch` wiring described in serve/result_cache.h,
-/// with DynamicSelector::version() as the epoch source. A query racing an
-/// insert can only under-stamp (its snapshot version), never over-stamp,
-/// so a stale entry can cause a miss but never a wrong hit.
+/// Queries go through CachedSelect, the same cache-fronted sequence as
+/// ShardedSelector's: every cache entry is stamped with the selector
+/// version of the snapshot that produced it (QueryResult::snapshot_version),
+/// and lookups present the *current* version — so one atomic counter bump
+/// per AddRecord/Rebuild invalidates every stale answer in O(1), with
+/// DynamicSelector::version() as the cache epoch (serve/result_cache.h). A
+/// query racing an insert can only under-stamp (its snapshot version),
+/// never over-stamp, so a stale entry can cause a miss but never a wrong
+/// hit.
 ///
 /// Thread-safe: Select/AddRecord/Rebuild may race freely (the selector is
 /// internally synchronized; the cache is sharded). Do not call Select from

@@ -5,7 +5,9 @@
 #include <iterator>
 
 #include "common/logging.h"
+#include "common/timer.h"
 #include "obs/metrics_registry.h"
+#include "obs/trace.h"
 
 namespace simsel::serve {
 
@@ -109,6 +111,28 @@ std::string ResultCache::MakeKey(const PreparedQuery& q, double clamped_tau,
     AppendPod(&key, q.tfs[i]);
   }
   return key;
+}
+
+bool ResultCache::LookupQuery(const PreparedQuery& q, double clamped_tau,
+                              AlgorithmKind kind, const SelectOptions& options,
+                              bool disk_mode, std::string_view measure_name,
+                              uint64_t epoch, obs::QueryTrace* trace,
+                              std::string* key, QueryResult* out) {
+  static obs::Histogram* const latency =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "simsel_serve_stage_latency_usec",
+          obs::LabelPair("stage", "cache_lookup"));
+  WallTimer timer;
+  obs::TraceScope span(trace, "cache_lookup");
+  *key = MakeKey(q, clamped_tau, kind, options, disk_mode, measure_name);
+  CachedResult cached;
+  const bool hit = Lookup(*key, epoch, &cached);
+  latency->Observe(static_cast<uint64_t>(timer.ElapsedMicros()));
+  if (hit) {
+    out->matches = std::move(cached.matches);
+    out->counters = cached.counters;
+  }
+  return hit;
 }
 
 ResultCache::Shard& ResultCache::ShardFor(const std::string& key) {

@@ -21,6 +21,7 @@ namespace simsel {
 namespace obs {
 class Counter;
 class Gauge;
+class QueryTrace;
 }  // namespace obs
 
 namespace serve {
@@ -48,12 +49,15 @@ struct CachedResult {
 };
 
 /// Sharded LRU cache of complete query answers, keyed by the full query
-/// fingerprint and stamped with the owning index's *epoch*.
+/// fingerprint and stamped with the owning index's *epoch* (the version of
+/// the collection that produced the answer).
 ///
-/// Invalidation is O(1) and scan-free: a collection update (see
-/// DynamicSelector::version / ShardedSelector::BumpEpoch) bumps the epoch,
-/// and every entry carrying an older stamp is treated as a miss — and
-/// erased — the next time its key is looked up. Nothing walks the cache.
+/// Invalidation is O(1) and scan-free: a collection update bumps the epoch
+/// (DynamicSelector::version; a ShardedSelector never changes, so its
+/// epoch is the constant ShardedSelector::kVersion), and every entry
+/// carrying an older stamp is treated as a miss — and erased — the next
+/// time its key is looked up. Nothing walks the cache. Front doors reach
+/// the cache through CachedSelect below.
 ///
 /// Thread-safe: entries are sharded by key hash with one mutex, one LRU
 /// chain and one byte budget per shard (the BufferPool recipe); hit/miss/
@@ -87,6 +91,16 @@ class ResultCache {
   /// a miss; a stale-epoch entry is erased and counted as both an
   /// invalidation and a miss.
   bool Lookup(const std::string& key, uint64_t epoch, CachedResult* out);
+
+  /// The lookup half of CachedSelect, timed and traced as the serving stage
+  /// `cache_lookup`: renders the query's key (MakeKey) into `*key` and, on a
+  /// fresh hit at `epoch`, fills `*out` with the cached matches and
+  /// counters.
+  bool LookupQuery(const PreparedQuery& q, double clamped_tau,
+                   AlgorithmKind kind, const SelectOptions& options,
+                   bool disk_mode, std::string_view measure_name,
+                   uint64_t epoch, obs::QueryTrace* trace, std::string* key,
+                   QueryResult* out);
 
   /// Inserts (or replaces) the entry for `key` at `epoch`. Call only with
   /// complete, OK results — the caller checks QueryResult::complete().
@@ -165,6 +179,35 @@ class ResultCache {
   obs::Counter* invalidations_metric_;
   obs::Gauge* bytes_metric_;
 };
+
+/// The cache-fronted select sequence of the serving front doors
+/// (ShardedSelector, DynamicServing), written once: look the query up at
+/// `epoch` (null `cache`: skip), run `execute()` on a miss, insert the
+/// answer if it is complete and covers the whole collection
+/// (QueryResult::delta_covered), then stamp `epoch` as the result's
+/// snapshot_version and point its trace at the caller's `options.trace`.
+/// `clamped_tau` must already be clamped (internal::ClampTau): the key
+/// fingerprints it. `lookup_trace` receives the cache_lookup span.
+template <class Execute>
+QueryResult CachedSelect(ResultCache* cache, const PreparedQuery& q,
+                         double clamped_tau, AlgorithmKind kind,
+                         const SelectOptions& options, bool disk_mode,
+                         std::string_view measure_name, uint64_t epoch,
+                         obs::QueryTrace* lookup_trace, Execute&& execute) {
+  std::string key;
+  QueryResult out;
+  if (cache == nullptr ||
+      !cache->LookupQuery(q, clamped_tau, kind, options, disk_mode,
+                          measure_name, epoch, lookup_trace, &key, &out)) {
+    out = execute();
+    if (cache != nullptr && out.complete() && out.delta_covered) {
+      cache->Insert(key, epoch, out.matches, out.counters);
+    }
+  }
+  out.snapshot_version = epoch;
+  out.trace = options.trace;
+  return out;
+}
 
 }  // namespace serve
 }  // namespace simsel

@@ -473,8 +473,6 @@ void Server::Execute(const std::shared_ptr<Conn>& conn, const Request& req) {
                                             ? budget->second
                                             : options_.default_element_budget;
     QueryResult result = RunQuery(req, options);
-    uint64_t version =
-        dynamic_ != nullptr ? result.snapshot_version : sharded_->epoch();
     if (!result.status.ok()) {
       line = req.id + " ERR " + Sanitize(result.status.ToString());
       error_n_.fetch_add(1, std::memory_order_relaxed);
@@ -485,7 +483,7 @@ void Server::Execute(const std::shared_ptr<Conn>& conn, const Request& req) {
       line += complete ? " OK "
                        : std::string(" PARTIAL ") +
                              TerminationName(result.termination) + " ";
-      line += std::to_string(version);
+      line += std::to_string(result.snapshot_version);
       line += ' ';
       line += std::to_string(result.matches.size());
       char buf[64];

@@ -6,16 +6,8 @@
 #include <mutex>
 #include <utility>
 
-#include "common/logging.h"
 #include "common/timer.h"
-#include "core/hybrid.h"
-#include "core/inra.h"
 #include "core/internal.h"
-#include "core/nra.h"
-#include "core/prefix_filter.h"
-#include "core/sf.h"
-#include "core/sort_by_id.h"
-#include "core/ta.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -24,10 +16,10 @@ namespace simsel::serve {
 
 namespace {
 
-// Per-stage serving latency attribution. Handles resolve once; recording a
-// stage is one histogram Observe (relaxed atomics).
+// Per-stage serving latency attribution (the cache_lookup stage is
+// recorded by CachedSelect). Handles resolve once; recording a stage is one
+// histogram Observe (relaxed atomics).
 struct StageMetrics {
-  obs::Histogram* cache_lookup;
   obs::Histogram* scatter;
   obs::Histogram* merge;
 };
@@ -39,7 +31,7 @@ const StageMetrics& Stages() {
       return reg.GetHistogram("simsel_serve_stage_latency_usec",
                               obs::LabelPair("stage", stage));
     };
-    return StageMetrics{get("cache_lookup"), get("scatter"), get("merge")};
+    return StageMetrics{get("scatter"), get("merge")};
   }();
   return m;
 }
@@ -64,19 +56,6 @@ obs::Histogram* ShardLatency(size_t shard) {
 
 }  // namespace
 
-ShardedSelector& ShardedSelector::operator=(ShardedSelector&& other) noexcept {
-  tokenizer_ = std::move(other.tokenizer_);
-  collection_ = std::move(other.collection_);
-  measure_ = std::move(other.measure_);
-  shards_ = std::move(other.shards_);
-  disk_mode_ = other.disk_mode_;
-  pool_ = other.pool_;
-  cache_ = std::move(other.cache_);
-  epoch_.store(other.epoch_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-  return *this;
-}
-
 ShardedSelector ShardedSelector::Build(const std::vector<std::string>& records,
                                        const ShardedSelectorOptions& options) {
   ShardedSelector sel;
@@ -92,22 +71,23 @@ ShardedSelector ShardedSelector::Build(const std::vector<std::string>& records,
       std::max<size_t>(1, std::min(options.num_shards, std::max<size_t>(n, 1)));
   const size_t chunk = (n + num_shards - 1) / num_shards;
   sel.disk_mode_ = options.disk_mode;
-  sel.shards_.resize(num_shards);
+  sel.segments_.resize(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
-    Shard& shard = sel.shards_[i];
-    shard.begin = static_cast<SetId>(std::min(n, i * chunk));
-    shard.end = static_cast<SetId>(std::min(n, (i + 1) * chunk));
-    shard.index = std::make_unique<InvertedIndex>(
-        InvertedIndex::BuildShard(*sel.collection_, *sel.measure_, shard.begin,
-                                  shard.end, options.build.index));
-    shard.prefilter = sketch::AttachPrefilter(*sel.measure_, *shard.index);
+    Segment& segment = sel.segments_[i];
+    segment.begin = static_cast<SetId>(std::min(n, i * chunk));
+    segment.end = static_cast<SetId>(std::min(n, (i + 1) * chunk));
+    segment.index = std::make_unique<InvertedIndex>(InvertedIndex::BuildShard(
+        *sel.collection_, *sel.measure_, segment.begin, segment.end,
+        options.build.index));
+    segment.prefilter =
+        sketch::AttachPrefilter(*sel.measure_, *segment.index);
     if (options.disk_mode) {
-      // Storage is strictly per shard: a store images one index's lists, and
-      // pool page keys (token, page) would collide across shards.
-      shard.store =
-          std::make_unique<PostingStore>(PostingStore::Build(*shard.index));
+      // Storage is strictly per segment: a store images one index's lists,
+      // and pool page keys (token, page) would collide across segments.
+      segment.store =
+          std::make_unique<PostingStore>(PostingStore::Build(*segment.index));
       if (options.pool_pages > 0) {
-        shard.pool = std::make_unique<BufferPool>(
+        segment.pool = std::make_unique<BufferPool>(
             std::max<size_t>(1, options.pool_pages / num_shards));
       }
     }
@@ -156,7 +136,7 @@ QueryResult ShardedSelector::SelectPrepared(const PreparedQuery& q, double tau,
 
   // Tail sampling for untraced queries, as in SimilaritySelector: the
   // flight recorder's thread-local trace records the serving stages and the
-  // stitched shard subtrees, but never escapes to the caller.
+  // stitched segment subtrees, but never escapes to the caller.
   const SelectOptions* run_options = &options;
   SelectOptions sampled;
   if (options.trace == nullptr) {
@@ -166,95 +146,21 @@ QueryResult ShardedSelector::SelectPrepared(const PreparedQuery& q, double tau,
       run_options = &sampled;
     }
   }
-
-  std::string key;
-  uint64_t at_epoch = 0;
-  if (cache_ != nullptr) {
-    WallTimer stage_timer;
-    obs::TraceScope span(run_options->trace, "cache_lookup");
-    key = ResultCache::MakeKey(q, tau, kind, options, disk_mode_,
-                               measure_->name());
-    // Read the epoch before executing: a bump landing mid-query then keeps
-    // the stale-stamped insert invisible to post-bump lookups.
-    at_epoch = epoch();
-    CachedResult cached;
-    const bool hit = cache_->Lookup(key, at_epoch, &cached);
-    Stages().cache_lookup->Observe(
-        static_cast<uint64_t>(stage_timer.ElapsedMicros()));
-    if (hit) {
-      QueryResult out;
-      out.matches = std::move(cached.matches);
-      out.counters = cached.counters;
-      out.trace = options.trace;
-      return out;
-    }
-  }
-
-  QueryResult out = Scatter(q, tau, kind, *run_options);
-  if (cache_ != nullptr && out.complete()) {
-    cache_->Insert(key, at_epoch, out.matches, out.counters);
-  }
-  out.trace = options.trace;
-  internal::RecordQueryMetrics(kind, out,
-                               static_cast<uint64_t>(timer.ElapsedMicros()),
-                               run_options->trace);
-  return out;
-}
-
-QueryResult ShardedSelector::RunShard(const Shard& shard,
-                                      const PreparedQuery& q, double tau,
-                                      AlgorithmKind kind,
-                                      const SelectOptions& options) const {
-  if (options.prefilter && shard.prefilter != nullptr &&
-      sketch::PrefilterEligible(kind)) {
-    QueryResult out;
-    if (shard.prefilter->TrySelect(q, tau, options, &out)) return out;
-  }
-  switch (kind) {
-    case AlgorithmKind::kLinearScan: {
-      // Range scan of the global collection over this shard's ids (the
-      // ParallelLinearScanSelect shard body, rebased onto [begin, end)).
-      QueryResult out;
-      internal::ControlPoller poller(options.control, out.counters);
-      for (SetId s = shard.begin; s < shard.end; ++s) {
-        if (((s - shard.begin) & 1023u) == 0 && poller.ShouldStop()) {
-          out.termination = poller.termination();
-          break;
-        }
-        ++out.counters.rows_scanned;
-        double score = measure_->Score(q, s);
-        if (score >= tau) out.matches.push_back(Match{s, score});
-      }
-      return out;
-    }
-    case AlgorithmKind::kSql:
-      break;  // rejected in SelectPrepared
-    case AlgorithmKind::kSortById:
-      return SortByIdSelect(*shard.index, *measure_, q, tau, options);
-    case AlgorithmKind::kTa:
-      return internal::TaEngineSelect(*shard.index, *measure_, q, tau, options,
-                                      /*improved=*/false);
-    case AlgorithmKind::kNra:
-      return NraSelect(*shard.index, *measure_, q, tau, options);
-    case AlgorithmKind::kIta:
-      return ItaSelect(*shard.index, *measure_, q, tau, options);
-    case AlgorithmKind::kInra:
-      return InraSelect(*shard.index, *measure_, q, tau, options);
-    case AlgorithmKind::kSf:
-      return SfSelect(*shard.index, *measure_, q, tau, options);
-    case AlgorithmKind::kHybrid:
-      return HybridSelect(*shard.index, *measure_, q, tau, options);
-    case AlgorithmKind::kPrefixFilter:
-      return PrefixFilterSelect(*shard.index, *measure_, q, tau, options);
-  }
-  SIMSEL_CHECK_MSG(false, "unreachable algorithm kind in RunShard");
-  return QueryResult{};
+  return CachedSelect(
+      cache_.get(), q, tau, kind, options, disk_mode_, measure_->name(),
+      kVersion, run_options->trace, [&] {
+        QueryResult out = Scatter(q, tau, kind, *run_options);
+        internal::RecordQueryMetrics(
+            kind, out, static_cast<uint64_t>(timer.ElapsedMicros()),
+            run_options->trace);
+        return out;
+      });
 }
 
 QueryResult ShardedSelector::Scatter(const PreparedQuery& q, double tau,
                                      AlgorithmKind kind,
                                      const SelectOptions& options) const {
-  const size_t num_shards = shards_.size();
+  const size_t num_shards = segments_.size();
   std::vector<QueryResult> parts(num_shards);
   // First trip cancels siblings: whoever trips (or fails) first records the
   // root cause and raises the shared token; every other shard stops at its
@@ -272,22 +178,23 @@ QueryResult ShardedSelector::Scatter(const PreparedQuery& q, double tau,
   const bool traced = options.trace != nullptr;
   std::vector<obs::QueryTrace> shard_traces(traced ? num_shards : 0);
 
-  // Per-shard execution options: the caller's control fields propagate, and
-  // cancel2 is claimed for the sibling token (callers use `cancel`).
+  // Per-segment execution options: the caller's control fields propagate,
+  // cancel2 is claimed for the sibling token (callers use `cancel`), and the
+  // caller's storage is dropped — SelectSegment binds each segment's own.
   SelectOptions shard_base = options;
   shard_base.trace = nullptr;
   shard_base.control.cancel2 = &sibling_cancel;
+  shard_base.posting_store = nullptr;
+  shard_base.buffer_pool = nullptr;
 
   auto run = [&](size_t i) {
     WallTimer shard_timer;
-    const Shard& shard = shards_[i];
     SelectOptions shard_options = shard_base;
     if (traced) shard_options.trace = &shard_traces[i];
-    shard_options.posting_store = shard.store.get();
-    shard_options.buffer_pool = shard.pool.get();
     {
       obs::TraceScope span(shard_options.trace, AlgorithmKindName(kind));
-      parts[i] = RunShard(shard, q, tau, kind, shard_options);
+      parts[i] = SelectSegment(segments_[i], *measure_, *collection_, q, tau,
+                               kind, shard_options);
       span.SetItems(parts[i].matches.size());
     }
     ShardLatency(i)->Observe(static_cast<uint64_t>(shard_timer.ElapsedMicros()));

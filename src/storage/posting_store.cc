@@ -107,15 +107,20 @@ size_t PostingStore::ReadBlock(uint32_t token, size_t first, size_t count,
           (b == 0 ? 0 : blk_ends_[base + b - 1]) - bytes_begin;
       const uint64_t be = blk_ends_[base + b] - bytes_begin;
       size_t got = 0, consumed = 0;
-      // The image was built by EncodePostingBlock and checksummed by
-      // PagedFile, so a decode failure is an internal invariant violation,
-      // not an I/O condition.
       const bool ok =
           DecodePostingBlock(scratch->raw.data() + bs, be - bs, blk_count,
                              scratch->ids.data(), scratch->lens.data(), &got,
                              &consumed, scratch) &&
           got == blk_count && consumed == be - bs;
-      SIMSEL_CHECK_MSG(ok, "corrupt posting block in store image");
+      if (!ok) {
+        // PagedFile's checksum is no MAC: a hostile image can pass Load
+        // with undecodable blocks. A caller with a status gets Corruption;
+        // a null status keeps the historical contract (checked crash).
+        SIMSEL_CHECK_MSG(status != nullptr,
+                         "corrupt posting block in store image");
+        *status = Status::Corruption("corrupt posting block in store image");
+        return 0;
+      }
       scratch->owner = this;
       scratch->token = token;
       scratch->first = blk_first;

@@ -81,11 +81,12 @@ class PostingStore {
   /// bound) skip the decode — never the physical read, which is charged
   /// identically either way. A null scratch falls back to a thread-local.
   /// Returns the number of postings read. `status`, when non-null, receives
-  /// the read outcome (OK, or the injected / real failure) and a failed
-  /// call returns 0 postings with the destination buffers untouched. A null
-  /// `status` keeps the historical contract: an unexpected read failure is
-  /// a checked programming error (crash), appropriate for callers with no
-  /// recovery path.
+  /// the read outcome (OK, the injected / real failure, or Corruption for a
+  /// block that does not decode) and a failed call returns 0 postings (the
+  /// destination buffers may hold blocks decoded before the failure). A
+  /// null `status` keeps the historical contract: an unexpected read
+  /// failure or undecodable block is a checked programming error (crash),
+  /// appropriate for callers with no recovery path.
   size_t ReadBlock(uint32_t token, size_t first, size_t count, uint32_t* ids,
                    float* lens, bool random = false,
                    PageReadStats* reader = nullptr, Status* status = nullptr,

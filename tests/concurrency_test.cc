@@ -165,27 +165,6 @@ TEST(ConcurrencySoakTest, ConcurrentDiskCursorsDoNotPerturbAccounting) {
   }
 }
 
-TEST(ConcurrencySoakTest, IntraQueryParallelSortByIdUnderConcurrentCallers) {
-  // Several outer threads each drive the intra-query parallel merge with
-  // its own inner pool over the one shared index.
-  const SimilaritySelector& sel = Selector();
-  PreparedQuery q = sel.Prepare(sel.collection().text(5));
-  QueryResult serial = sel.SelectPrepared(q, 0.7, AlgorithmKind::kSortById, {});
-
-  std::vector<std::string> failures(8);
-  ThreadPool outer(4);
-  ParallelFor(&outer, failures.size(), [&](size_t i) {
-    ThreadPool inner(3);
-    QueryResult got =
-        ParallelSortByIdSelect(sel.index(), sel.measure(), q, 0.7, &inner);
-    std::string diff = DiffMatches(serial.matches, got.matches);
-    if (!diff.empty()) failures[i] = diff;
-  });
-  for (const std::string& failure : failures) {
-    EXPECT_TRUE(failure.empty()) << failure;
-  }
-}
-
 // --- Satellite: batch determinism across every algorithm kind. ---
 
 class BatchDeterminismParam : public ::testing::TestWithParam<bool> {};

@@ -8,6 +8,7 @@
 
 #include "gen/corpus.h"
 #include "gen/error_model.h"
+#include "gen/load.h"
 #include "gen/workload.h"
 #include "gen/zipf.h"
 
@@ -281,6 +282,31 @@ TEST(WorkloadTest, DeterministicForSeed) {
   Workload b = GenerateWordWorkload(records, grams, o);
   EXPECT_EQ(a.queries, b.queries);
   EXPECT_EQ(a.sources, b.sources);
+}
+
+// Response lines come off the wire: a malformed one must be rejected, never
+// abort the client. The match count used to size a reserve() directly, so
+// a huge count threw length_error / bad_alloc.
+TEST(LoadParseTest, HostileResponsesAreRejectedWithoutAborting) {
+  const char* const kBad[] = {
+      "a OK 1 18446744073709551615 3:0.5",        // count = UINT64_MAX
+      "a OK 1 4000000000000 3:0.5",               // count beyond memory
+      "a PARTIAL budget 1 18446744073709551615",  // huge count, no pairs
+      "a OK 1 3 3:0.5 4:0.25",                    // count > pairs
+      "a OK 1 1 3",                               // pair with no colon
+      "a OK 1 1 3:abc",                           // non-numeric score
+      "a OK 1 1 3:0.5 junk",                      // trailing junk
+  };
+  for (const char* line : kBad) {
+    load::Response r;
+    EXPECT_FALSE(load::ParseResponse(line, &r)) << line;
+  }
+  load::Response ok;
+  ASSERT_TRUE(load::ParseResponse("a OK 7 2 3:0.5 4:0.25", &ok));
+  EXPECT_EQ(ok.version, 7u);
+  ASSERT_EQ(ok.matches.size(), 2u);
+  EXPECT_EQ(ok.matches[1].id, 4u);
+  EXPECT_EQ(ok.matches[1].score, 0.25);
 }
 
 }  // namespace

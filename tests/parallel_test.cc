@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "core/linear_scan.h"
 #include "core/parallel.h"
 #include "obs/trace.h"
 #include "test_util.h"
@@ -97,112 +96,6 @@ TEST(BatchSelectTest, TracedBatchReturnsStitchedSpanTrees) {
   EXPECT_EQ(trace.StructureString(), again.StructureString());
 }
 #endif  // SIMSEL_DISABLE_TRACING
-
-TEST(ParallelLinearScanTest, ExactlyMatchesSerialScan) {
-  const SimilaritySelector& sel = Selector();
-  ThreadPool pool(4);
-  for (double tau : {0.3, 0.7, 0.9}) {
-    for (SetId s = 0; s < 10; ++s) {
-      PreparedQuery q = sel.Prepare(sel.collection().text(s));
-      QueryResult serial =
-          LinearScanSelect(sel.measure(), sel.collection(), q, tau);
-      QueryResult parallel = ParallelLinearScanSelect(
-          sel.measure(), sel.collection(), q, tau, &pool);
-      ExpectSameMatches(serial.matches, parallel.matches,
-                        "tau=" + std::to_string(tau));
-      EXPECT_EQ(parallel.counters.rows_scanned, sel.collection().size());
-    }
-  }
-}
-
-TEST(ParallelLinearScanTest, MorePoolThreadsThanSets) {
-  std::vector<std::string> records = {"alpha", "beta"};
-  SimilaritySelector sel = SimilaritySelector::Build(records);
-  ThreadPool pool(8);
-  PreparedQuery q = sel.Prepare("alpha");
-  QueryResult r =
-      ParallelLinearScanSelect(sel.measure(), sel.collection(), q, 0.9, &pool);
-  ASSERT_EQ(r.matches.size(), 1u);
-  EXPECT_EQ(r.matches[0].id, 0u);
-}
-
-TEST(ParallelSortByIdTest, MatchesSequentialMerge) {
-  const SimilaritySelector& sel = Selector();
-  for (size_t threads : {1u, 3u, 8u}) {
-    ThreadPool pool(threads);
-    for (double tau : {0.5, 0.8, 0.9}) {
-      for (SetId s = 0; s < 10; ++s) {
-        PreparedQuery q = sel.Prepare(sel.collection().text(s * 11));
-        QueryResult serial =
-            sel.SelectPrepared(q, tau, AlgorithmKind::kSortById, {});
-        QueryResult parallel =
-            ParallelSortByIdSelect(sel.index(), sel.measure(), q, tau, &pool);
-        ExpectSameMatches(serial.matches, parallel.matches,
-                          "threads=" + std::to_string(threads));
-        // The shards cover every posting exactly once, and their per-range
-        // page charges add up to the serial per-list ⌈size/P⌉.
-        EXPECT_EQ(parallel.counters.elements_read,
-                  serial.counters.elements_read);
-        EXPECT_EQ(parallel.counters.elements_total,
-                  serial.counters.elements_total);
-        EXPECT_EQ(parallel.counters.seq_page_reads,
-                  serial.counters.seq_page_reads);
-      }
-    }
-  }
-}
-
-TEST(ParallelSortByIdTest, EmptyQueryAndNoMatches) {
-  const SimilaritySelector& sel = Selector();
-  ThreadPool pool(4);
-  PreparedQuery empty = sel.Prepare("");
-  EXPECT_TRUE(ParallelSortByIdSelect(sel.index(), sel.measure(), empty, 0.5,
-                                     &pool)
-                  .matches.empty());
-  PreparedQuery q = sel.Prepare(sel.collection().text(0));
-  EXPECT_TRUE(ParallelSortByIdSelect(sel.index(), sel.measure(), q, 1.5,
-                                     &pool)
-                  .matches.empty());
-}
-
-TEST(SortByIdShardRangeTest, LastShardReachesPastMaxUint32WithoutWrap) {
-  // Regression: the shard bounds were computed in uint32_t, so the last
-  // shard's exclusive bound max_id + 1 wrapped to 0 when max_id was
-  // UINT32_MAX — the shard became empty and its matches were dropped.
-  for (size_t shards : {1u, 2u, 7u, 16u}) {
-    auto [lo, hi] =
-        internal::SortByIdShardRange(UINT32_MAX, shards, shards - 1);
-    EXPECT_EQ(hi, static_cast<uint64_t>(UINT32_MAX) + 1) << shards;
-    EXPECT_LT(lo, hi) << shards;  // the boundary id itself is covered
-  }
-}
-
-TEST(SortByIdShardRangeTest, ShardsPartitionTheIdSpace) {
-  for (uint32_t max_id : {0u, 1u, 7u, 1000u, UINT32_MAX}) {
-    for (size_t shards : {1u, 2u, 3u, 8u, 16u}) {
-      uint64_t prev = 0;
-      for (size_t s = 0; s < shards; ++s) {
-        auto [lo, hi] = internal::SortByIdShardRange(max_id, shards, s);
-        EXPECT_EQ(lo, prev) << "max_id=" << max_id << " shard " << s;
-        EXPECT_LE(lo, hi) << "max_id=" << max_id << " shard " << s;
-        prev = hi;
-      }
-      EXPECT_EQ(prev, static_cast<uint64_t>(max_id) + 1)
-          << "max_id=" << max_id << " shards=" << shards;
-    }
-  }
-}
-
-TEST(SortByIdShardRangeTest, MoreShardsThanIdsYieldsEmptyTailRanges) {
-  // max_id = 1 with 4 shards: the tail shards must come out empty
-  // (lo == hi), never inverted — an inverted range underflowed the
-  // elements_total accounting before the bounds were clamped.
-  for (size_t s = 0; s < 4; ++s) {
-    auto [lo, hi] = internal::SortByIdShardRange(1, 4, s);
-    EXPECT_LE(lo, hi) << "shard " << s;
-    EXPECT_LE(hi, 2u) << "shard " << s;
-  }
-}
 
 TEST(ConcurrencyTest, ConstQueriesAreThreadCompatible) {
   // Hammer one selector from many threads; all runs must agree with the

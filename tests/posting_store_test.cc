@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "storage/buffer_pool.h"
+#include "storage/codec.h"
 #include "storage/posting_store.h"
 #include "test_util.h"
 
@@ -99,6 +103,70 @@ TEST(PostingStoreTest, LoadRejectsCorruption) {
   Result<PostingStore> loaded = PostingStore::Load(path);
   EXPECT_FALSE(loaded.ok());
   std::remove(path.c_str());
+}
+
+// The image's FNV-1a footer detects accidents, not attacks: a file whose
+// list bytes were altered and whose footer was recomputed passes Load. Its
+// undecodable blocks must then fail the query with a Status — the read path
+// used to abort the process on the first such block.
+TEST(PostingStoreTest, TamperedImageFailsQueriesInsteadOfAborting) {
+  const SimilaritySelector& sel = Selector();
+  auto path =
+      (std::filesystem::temp_directory_path() / "simsel_store3.bin").string();
+  ASSERT_TRUE(Store().Save(path).ok());
+  std::vector<uint8_t> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // [16-byte header][payload: lists, directory, directory size][footer].
+  constexpr size_t kHeader = 16;
+  ASSERT_GT(bytes.size(), kHeader + 16);
+  const size_t payload = bytes.size() - kHeader - 8;
+  uint64_t dir_size = 0;
+  std::memcpy(&dir_size, bytes.data() + kHeader + payload - 8, 8);
+  const size_t lists_end = kHeader + payload - dir_size;
+  const size_t begin = kHeader + (lists_end - kHeader) / 4;
+  const size_t end = std::min(lists_end, begin + 2048);
+  ASSERT_LT(begin, end);
+  for (size_t i = begin; i < end; ++i) bytes[i] ^= 0xA5;
+  const uint64_t footer = Fnv1a64(bytes.data(), kHeader + payload);
+  std::memcpy(bytes.data() + kHeader + payload, &footer, 8);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  Result<PostingStore> tampered = PostingStore::Load(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(tampered.ok()) << tampered.status().ToString();
+
+  SelectOptions disk;
+  disk.posting_store = &*tampered;
+  size_t failed = 0;
+  for (AlgorithmKind kind :
+       {AlgorithmKind::kTa, AlgorithmKind::kNra, AlgorithmKind::kIta,
+        AlgorithmKind::kInra, AlgorithmKind::kSf, AlgorithmKind::kHybrid,
+        AlgorithmKind::kPrefixFilter}) {
+    for (double tau : {0.5, 0.8}) {
+      for (SetId s = 0; s < 40; ++s) {
+        PreparedQuery q = sel.Prepare(sel.collection().text(s * 9));
+        QueryResult mem = sel.SelectPrepared(q, tau, kind, {});
+        QueryResult dsk = sel.SelectPrepared(q, tau, kind, disk);
+        if (!dsk.status.ok()) {
+          EXPECT_EQ(dsk.status.code(), StatusCode::kCorruption);
+          EXPECT_TRUE(dsk.matches.empty());
+          ++failed;
+          continue;
+        }
+        ExpectSameMatches(mem.matches, dsk.matches,
+                          std::string(AlgorithmKindName(kind)) + " tau=" +
+                              std::to_string(tau) + " query " +
+                              std::to_string(s * 9));
+      }
+    }
+  }
+  EXPECT_GT(failed, 0u);  // the tampered lists were actually read
 }
 
 // --- Disk-mode queries. ---

@@ -64,18 +64,6 @@ std::string ProbeQuery(size_t i = 0) {
   return Selector().collection().text(static_cast<SetId>(i * 37 % 1500));
 }
 
-// A deliberately oversized query for the merge paths (which never
-// length-bound): more lists, more pops, every id-range shard reaches its
-// poll cadence.
-std::string WideQuery(size_t records) {
-  std::string text;
-  for (size_t i = 0; i < records; ++i) {
-    if (!text.empty()) text += ' ';
-    text += ProbeQuery(i);
-  }
-  return text;
-}
-
 // Every partial match must appear in the complete answer with the identical
 // score double (subset soundness), and the result's own bookkeeping must be
 // consistent.
@@ -303,31 +291,6 @@ TEST(QueryControlTest, CancelInFlightOnSharedSelectorIsRaceFree) {
       ExpectSoundPartial(full, results[i], context);
     }
   }
-}
-
-TEST(QueryControlTest, ParallelIntraQueryPathsHonorControl) {
-  const SimilaritySelector& sel = Selector();
-  // Long enough that every id-range shard of the parallel merge reaches its
-  // poll cadence (the budget/cancel check runs once per 1024 pops).
-  PreparedQuery q = sel.Prepare(WideQuery(12));
-  ThreadPool pool(4);
-  std::atomic<bool> cancel{true};
-  SelectOptions opts;
-  opts.control.cancel = &cancel;
-
-  QueryResult full_scan = ParallelLinearScanSelect(
-      sel.measure(), sel.collection(), q, 0.5, &pool, {});
-  QueryResult scan = ParallelLinearScanSelect(sel.measure(), sel.collection(),
-                                              q, 0.5, &pool, opts);
-  EXPECT_EQ(scan.termination, Termination::kCancelled);
-  ExpectSoundPartial(full_scan, scan, "parallel scan");
-
-  QueryResult full_merge =
-      ParallelSortByIdSelect(sel.index(), sel.measure(), q, 0.5, &pool, {});
-  QueryResult merge =
-      ParallelSortByIdSelect(sel.index(), sel.measure(), q, 0.5, &pool, opts);
-  EXPECT_EQ(merge.termination, Termination::kCancelled);
-  ExpectSoundPartial(full_merge, merge, "parallel sort-by-id");
 }
 
 TEST(QueryControlTest, TopKHonorsControl) {

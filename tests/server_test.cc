@@ -69,7 +69,7 @@ TEST(ServerTest, ResultsAreByteIdenticalToDirectSelector) {
         Response r = RoundTrip(
             &client, load::FormatQuery("q", "-", tau, kind, q));
         ASSERT_EQ(r.kind, Response::Kind::kOk) << r.reason;
-        EXPECT_EQ(r.version, sharded.epoch());
+        EXPECT_EQ(r.version, direct.snapshot_version);
         ASSERT_EQ(r.matches.size(), direct.matches.size());
         for (size_t i = 0; i < r.matches.size(); ++i) {
           EXPECT_EQ(r.matches[i].id, direct.matches[i].id);

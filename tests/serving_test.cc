@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -28,6 +30,7 @@ using serve::ResultCacheOptions;
 using serve::ShardedSelector;
 using serve::ShardedSelectorOptions;
 using testing_util::ExpectSameMatches;
+using testing_util::ExpectSoundPartial;
 using testing_util::MakeQueries;
 using testing_util::MakeWordRecords;
 
@@ -85,42 +88,67 @@ TEST(ShardedSelectorTest, MoreShardsThanRecordsClamps) {
   EXPECT_FALSE(r.matches.empty());
 }
 
-// The tentpole exactness claim: for every algorithm, in memory and disk
-// mode, with and without a thread pool, the merged sharded answer is
-// byte-identical to the single-index answer (ids, exact scores, order).
-TEST(ShardedSelectorTest, ByteIdenticalToSingleIndexAllAlgorithms) {
-  std::vector<std::string> records = MakeWordRecords(160, 42);
-  SimilaritySelector single = SimilaritySelector::Build(records, SmallBuild());
-  std::vector<std::string> queries = MakeQueries(records, 10, 99);
-  queries.push_back("");                    // empty query
-  queries.push_back("zzzzqqqqxxxx");        // out-of-vocabulary
-  ThreadPool pool(3);
+// Intra-query parallelism is one executor under every front door: a
+// ShardedSelector with K segments — in memory or on disk, scattered on a
+// pool or run serially — answers exactly like the one-segment
+// SimilaritySelector (ids, score bits, order) for every algorithm with a
+// segment form (all but kSql), and a budget trip yields a sound subset.
+class SegmentParityTest
+    : public ::testing::TestWithParam<std::tuple<size_t, bool, bool>> {};
 
-  for (bool disk : {false, true}) {
-    for (size_t shards : {1u, 4u}) {
-      ShardedSelector sharded =
-          ShardedSelector::Build(records, ServeOptions(shards, disk));
-      for (bool with_pool : {false, true}) {
-        sharded.set_thread_pool(with_pool ? &pool : nullptr);
-        for (AlgorithmKind kind : kShardableKinds) {
-          for (double tau : {0.5, 0.8}) {
-            for (const std::string& query : queries) {
-              QueryResult expected = single.Select(query, tau, kind);
-              QueryResult actual = sharded.Select(query, tau, kind);
-              ASSERT_TRUE(actual.complete());
-              ExpectSameMatches(
-                  expected.matches, actual.matches,
-                  std::string(AlgorithmKindName(kind)) +
-                      (disk ? " disk" : " mem") + " shards=" +
-                      std::to_string(shards) + " tau=" + std::to_string(tau) +
-                      " q=\"" + query + "\"");
-            }
-          }
+TEST_P(SegmentParityTest, ShardedEqualsSingleSegment) {
+  const auto [segments, disk, with_pool] = GetParam();
+  std::vector<std::string> records = MakeWordRecords(300, 2101);
+  SimilaritySelector single = SimilaritySelector::Build(records, SmallBuild());
+  ShardedSelector sharded =
+      ShardedSelector::Build(records, ServeOptions(segments, disk));
+  ASSERT_EQ(sharded.num_shards(), segments);
+  ThreadPool pool(3);
+  if (with_pool) sharded.set_thread_pool(&pool);
+  std::vector<std::string> queries = MakeQueries(records, 8, 2111);
+  queries.push_back("");              // empty query
+  queries.push_back("zzzzqqqqxxxx");  // out-of-vocabulary
+
+  SelectOptions budget;
+  budget.control.max_elements_read = 1;
+  size_t trips = 0;
+  uint64_t pool_traffic = 0;  // nonzero only if segment storage is bound
+  for (AlgorithmKind kind : kShardableKinds) {
+    for (const std::string& query : queries) {
+      for (double tau : {0.5, 0.8}) {
+        const std::string context = std::string(AlgorithmKindName(kind)) +
+                                    " tau=" + std::to_string(tau) + " q=\"" +
+                                    query + "\"";
+        const QueryResult expected = single.Select(query, tau, kind);
+        const QueryResult actual = sharded.Select(query, tau, kind);
+        ASSERT_TRUE(actual.complete()) << context;
+        pool_traffic += actual.counters.pool_hits + actual.counters.pool_misses;
+        ASSERT_EQ(actual.matches.size(), expected.matches.size()) << context;
+        for (size_t i = 0; i < actual.matches.size(); ++i) {
+          EXPECT_EQ(actual.matches[i].id, expected.matches[i].id) << context;
+          EXPECT_EQ(std::bit_cast<uint64_t>(actual.matches[i].score),
+                    std::bit_cast<uint64_t>(expected.matches[i].score))
+              << context << " id " << actual.matches[i].id;
         }
+        const QueryResult partial = sharded.Select(query, tau, kind, budget);
+        trips += partial.termination == Termination::kBudget;
+        ExpectSoundPartial(expected, partial, context + " budget");
       }
     }
   }
+  EXPECT_GT(trips, 0u);
+  EXPECT_EQ(pool_traffic > 0, disk);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Segments, SegmentParityTest,
+    ::testing::Combine(::testing::Values(size_t{1}, size_t{3}, size_t{8}),
+                       ::testing::Bool(), ::testing::Bool()),
+    [](const auto& info) {
+      return "K" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "Disk" : "Memory") +
+             (std::get<2>(info.param) ? "Pool" : "Serial");
+    });
 
 TEST(ShardedSelectorTest, SqlIsRejected) {
   std::vector<std::string> records = MakeWordRecords(40, 5);
@@ -408,33 +436,6 @@ TEST(ShardedSelectorTest, CacheHitReturnsIdenticalQueryResult) {
   EXPECT_EQ(cache->misses(), 2u);
 }
 
-TEST(ShardedSelectorTest, EpochBumpInvalidatesCachedAnswers) {
-  std::vector<std::string> records = MakeWordRecords(100, 19);
-  ShardedSelector sharded = ShardedSelector::Build(
-      records, ServeOptions(2, /*disk=*/false, /*cache_bytes=*/1u << 20));
-  ResultCache* cache = sharded.result_cache();
-  std::string query = records[0];
-
-  QueryResult first = sharded.Select(query, 0.6);
-  CachedResult peek;
-  ASSERT_TRUE(cache->Lookup(
-      ResultCache::MakeKey(sharded.Prepare(query), 0.6, AlgorithmKind::kSf,
-                           SelectOptions{}, false, sharded.measure().name()),
-      sharded.epoch(), &peek));
-
-  sharded.BumpEpoch();
-  QueryResult after = sharded.Select(query, 0.6);  // recomputed, re-inserted
-  EXPECT_EQ(cache->invalidations(), 1u);
-  ExpectSameMatches(first.matches, after.matches, "post-bump recompute");
-  sharded.Select(query, 0.6);
-  EXPECT_EQ(cache->hits(), 2u);  // fresh entry serves again
-
-  // Mirroring an external version counter works the same way.
-  sharded.SetEpoch(41);
-  sharded.Select(query, 0.6);
-  EXPECT_EQ(cache->invalidations(), 2u);
-}
-
 TEST(ShardedSelectorTest, PartialResultsAreNotCached) {
   std::vector<std::string> records = MakeWordRecords(120, 29);
   ShardedSelector sharded = ShardedSelector::Build(
@@ -451,8 +452,7 @@ TEST(ShardedSelectorTest, PartialResultsAreNotCached) {
 }
 
 // TSAN leg: concurrent callers on one shared sharded selector + pool +
-// cache, with an epoch bumper racing them. Every complete answer must match
-// the serial ground truth.
+// cache. Every complete answer must match the serial ground truth.
 TEST(ShardedSelectorTest, ConcurrentServingSoak) {
   std::vector<std::string> records = MakeWordRecords(140, 57);
   SimilaritySelector single = SimilaritySelector::Build(records, SmallBuild());
@@ -505,14 +505,7 @@ TEST(ShardedSelectorTest, ConcurrentServingSoak) {
       }
     });
   }
-  std::thread bumper([&] {
-    for (int i = 0; i < 20; ++i) {
-      sharded.BumpEpoch();
-      std::this_thread::yield();
-    }
-  });
   for (std::thread& t : callers) t.join();
-  bumper.join();
   EXPECT_FALSE(failed.load());
 }
 

@@ -9,15 +9,13 @@
 #include <vector>
 
 #include "core/linear_scan.h"
-#include "core/parallel.h"
 #include "storage/posting_store.h"
 #include "test_util.h"
 
-// The windowed counting merge behind SortByIdSelect and
-// ParallelSortByIdSelect. The corpus has more than two 4096-id windows, so
-// list ids straddle the 4095/4096 and 8191/8192 window seams; the marker
-// words plant lists whose gaps skip whole windows and windows holding a
-// single posting.
+// The windowed counting merge behind SortByIdSelect. The corpus has more
+// than two 4096-id windows, so list ids straddle the 4095/4096 and 8191/8192
+// window seams; the marker words plant lists whose gaps skip whole windows
+// and windows holding a single posting.
 
 namespace simsel {
 namespace {
@@ -264,33 +262,6 @@ TEST(SortByIdKernelTest, UntrippedControlChargesLikeTheHoistedPath) {
         << nq.name;
     EXPECT_EQ(metered.counters.seq_page_reads, plain.counters.seq_page_reads)
         << nq.name;
-  }
-}
-
-TEST(SortByIdKernelTest, ParallelRangesAgreeWithSerial) {
-  // Shard boundaries cut windows mid-way; matches and every read counter
-  // still equal the serial merge's.
-  const SimilaritySelector& sel = Selector();
-  for (size_t threads : {1u, 3u, 8u}) {
-    ThreadPool pool(threads);
-    for (const NamedQuery& nq : Queries()) {
-      const std::string context =
-          nq.name + " threads=" + std::to_string(threads);
-      QueryResult serial =
-          SortByIdSelect(sel.index(), sel.measure(), nq.q, 0.3);
-      QueryResult parallel = ParallelSortByIdSelect(
-          sel.index(), sel.measure(), nq.q, 0.3, &pool);
-      ExpectIdentical(serial.matches, parallel.matches, context);
-      EXPECT_EQ(parallel.counters.elements_read,
-                serial.counters.elements_read)
-          << context;
-      EXPECT_EQ(parallel.counters.elements_total,
-                serial.counters.elements_total)
-          << context;
-      EXPECT_EQ(parallel.counters.seq_page_reads,
-                serial.counters.seq_page_reads)
-          << context;
-    }
   }
 }
 
