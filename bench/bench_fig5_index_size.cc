@@ -73,10 +73,13 @@ void PrintCompressionByDecile(const InvertedIndex& index) {
     total_v2 += v2;
     total_v3 += v3;
     total_postings += postings;
+    std::string decile = "d";
+    decile += std::to_string(d + 1);
+    decile += " (df<=";
+    decile += std::to_string(index.ListSize(tokens[end - 1]));
+    decile += ')';
     rows.push_back(
-        {"d" + std::to_string(d + 1) + " (df<=" +
-             std::to_string(index.ListSize(tokens[end - 1])) + ")",
-         std::to_string(postings),
+        {decile, std::to_string(postings),
          bench::Fmt(v2 / static_cast<double>(postings), "%.2f"),
          bench::Fmt(v3 / static_cast<double>(postings), "%.2f"),
          bench::Fmt(v2 / static_cast<double>(v3), "%.2fx")});

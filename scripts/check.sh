@@ -82,24 +82,24 @@ cd "$(dirname "$0")/.."
 
 jobs="$(nproc)"
 
-echo "== check.sh leg 1/10: AddressSanitizer, full suite =="
+echo "== check.sh leg 1/11: AddressSanitizer, full suite =="
 cmake -B build-asan -S . -DSIMSEL_WERROR=ON -DSIMSEL_ENABLE_ASAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-asan -j "$jobs"
 ctest --test-dir build-asan --output-on-failure -j "$jobs"
 
-echo "== check.sh leg 2/10: full suite with SIMSEL_FORCE_SCALAR=1 =="
+echo "== check.sh leg 2/11: full suite with SIMSEL_FORCE_SCALAR=1 =="
 SIMSEL_FORCE_SCALAR=1 \
   ctest --test-dir build-asan --output-on-failure -j "$jobs"
 
-echo "== check.sh leg 3/10: documentation links, CLI flags, metric names =="
+echo "== check.sh leg 3/11: documentation links, CLI flags, metric names =="
 scripts/check_docs.py --cli build-asan/examples/simsel_cli
 
-echo "== check.sh leg 4/10: Prometheus exposition lint =="
+echo "== check.sh leg 4/11: Prometheus exposition lint =="
 build-asan/examples/simsel_cli --stats --words=2000 2>/dev/null \
   | scripts/check_prom.py
 
-echo "== check.sh leg 5/10: ThreadSanitizer =="
+echo "== check.sh leg 5/11: ThreadSanitizer =="
 cmake -B build-tsan -S . -DSIMSEL_WERROR=ON -DSIMSEL_ENABLE_TSAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j "$jobs"
@@ -113,7 +113,7 @@ else
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L concurrency
 fi
 
-echo "== check.sh leg 6/10: UndefinedBehaviorSanitizer, codec + kernels =="
+echo "== check.sh leg 6/11: UndefinedBehaviorSanitizer, codec + kernels =="
 cmake -B build-ubsan -S . -DSIMSEL_WERROR=ON -DSIMSEL_ENABLE_UBSAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-ubsan -j "$jobs" \
@@ -122,15 +122,15 @@ cmake --build build-ubsan -j "$jobs" \
 ctest --test-dir build-ubsan --output-on-failure -j "$jobs" \
       -R 'codec_test|simd_kernels_test|posting_store_test|index_version_test'
 
-echo "== check.sh leg 7/10: network serving smoke (bench_ycsb under ASan) =="
+echo "== check.sh leg 7/11: network serving smoke (bench_ycsb under ASan) =="
 cmake --build build-asan -j "$jobs" --target bench_ycsb
 (cd build-asan/bench && ./bench_ycsb --words=6000 --queries=60 --conns=2 \
      --requests=30 --seconds=1)
 
 if [[ "${SIMSEL_CHECK_SKIP_BENCH:-0}" == "1" ]]; then
-  echo "== check.sh leg 8/10: perf regression — SKIPPED (SIMSEL_CHECK_SKIP_BENCH=1) =="
+  echo "== check.sh leg 8/11: perf regression — SKIPPED (SIMSEL_CHECK_SKIP_BENCH=1) =="
 else
-  echo "== check.sh leg 8/10: perf regression vs bench/baselines/BENCH_micro.json =="
+  echo "== check.sh leg 8/11: perf regression vs bench/baselines/BENCH_micro.json =="
   # Sanitizer builds are useless for timing: a separate plain build.
   cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-bench -j "$jobs" --target bench_micro
@@ -141,9 +141,9 @@ else
 fi
 
 if [[ "${SIMSEL_CHECK_SKIP_BENCH:-0}" == "1" ]]; then
-  echo "== check.sh leg 9/10: prefilter exactness gate — SKIPPED (SIMSEL_CHECK_SKIP_BENCH=1) =="
+  echo "== check.sh leg 9/11: prefilter exactness gate — SKIPPED (SIMSEL_CHECK_SKIP_BENCH=1) =="
 else
-  echo "== check.sh leg 9/10: prefilter exactness gate (bench_prefilter ablation) =="
+  echo "== check.sh leg 9/11: prefilter exactness gate (bench_prefilter ablation) =="
   cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-bench -j "$jobs" --target bench_prefilter
   (cd build-bench/bench && ./bench_prefilter --words=50000 --queries=100)
@@ -151,13 +151,13 @@ else
 fi
 
 if [[ "${SIMSEL_CHECK_SKIP_BENCH:-0}" == "1" ]]; then
-  echo "== check.sh leg 10/10: benchmark smoke — SKIPPED (SIMSEL_CHECK_SKIP_BENCH=1) =="
+  echo "== check.sh leg 10/11: benchmark smoke — SKIPPED (SIMSEL_CHECK_SKIP_BENCH=1) =="
 else
-  echo "== check.sh leg 10/10: benchmark smoke (simbench, all three workloads) =="
+  echo "== check.sh leg 10/11: benchmark smoke (simbench, all three workloads) =="
   scripts/bench_smoke.sh
 fi
 
-echo "== check.sh leg 11: work table vs bench/baselines/WORK_grid.json =="
+echo "== check.sh leg 11/11: work table vs bench/baselines/WORK_grid.json =="
 scripts/work_table.py
 
 echo "check.sh: all legs passed"

@@ -11,7 +11,7 @@ namespace simsel {
 /// round-robin combined with SF's max_len(C) stopping condition, so it never
 /// descends deeper into a list than either parent strategy. The candidate
 /// set is organized as the paper prescribes — one length-sorted queue per
-/// origin list plus a hash table — making max_len(C) an O(n) peek at queue
+/// origin list plus an id table — making max_len(C) an O(n) peek at queue
 /// backs instead of a full candidate scan. The extra bookkeeping is why the
 /// paper finds Hybrid slightly slower than SF in wall-clock despite equal or
 /// better pruning.

@@ -1,9 +1,8 @@
 #include "core/inra.h"
 
 #include <cmath>
-#include <deque>
 #include <limits>
-#include <unordered_map>
+#include <vector>
 
 #include "common/bitset.h"
 #include "core/internal.h"
@@ -14,12 +13,14 @@ namespace simsel {
 
 namespace {
 
+// A candidate's words are two bitmaps of W words each: the lists the set
+// has been seen in (present), then the lists it provably does not appear
+// in (absent).
 struct Candidate {
-  DynamicBitset present;  // lists the set has been seen in
-  DynamicBitset absent;   // lists the set provably does not appear in
-  float len = 0.0f;
-  double lb_num = 0.0;       // Σ weights[i] over present bits
-  double missing_num = 0.0;  // Σ weights[i] over unresolved bits
+  uint32_t id;
+  float len;
+  double lb_num;       // Σ weights[i] over present bits
+  double missing_num;  // Σ weights[i] over unresolved bits
 };
 
 }  // namespace
@@ -29,7 +30,7 @@ namespace internal {
 // Shared engine for iNRA (Algorithm 2) and Hybrid (Algorithm 4). Hybrid
 // adds the max_len(C) early-stop per list, implemented with the paper's
 // partitioned candidate organization (one length-ordered queue per origin
-// list + the candidate hash table) so max_len(C) costs O(n) per check.
+// list + the candidate id table) so max_len(C) costs O(n) per check.
 //
 // Deviation from the paper, documented in DESIGN.md: the stop fires only
 // when the frontier also exceeds λ₁ = Σ_j idf(q^j)² / (τ·len(q)) — the
@@ -92,21 +93,24 @@ QueryResult NraFamilySelect(const InvertedIndex& index,
     return false;
   };
 
-  std::unordered_map<uint32_t, Candidate> cands;
+  const size_t W = BitWords(n);
+  CandidateSet<Candidate> cands(measure.collection().size(), 2 * W);
   // Hybrid's partitioned candidate set: ids in insertion (== ascending
   // length) order per origin list; stale entries removed lazily.
-  std::vector<std::deque<uint32_t>> origin(hybrid ? n : 0);
+  std::vector<std::vector<uint32_t>> origin(hybrid ? n : 0);
 
   auto max_len_c = [&]() {
     double max_len = -std::numeric_limits<double>::infinity();
     for (size_t j = 0; j < n; ++j) {
-      std::deque<uint32_t>& dq = origin[j];
-      while (!dq.empty() && cands.find(dq.back()) == cands.end()) {
-        dq.pop_back();
+      std::vector<uint32_t>& ids = origin[j];
+      uint32_t slot = CandidateSlots::kNoSlot;
+      while (!ids.empty() &&
+             (slot = cands.Find(ids.back())) == CandidateSlots::kNoSlot) {
+        ids.pop_back();
       }
-      if (!dq.empty()) {
+      if (!ids.empty()) {
         max_len = std::max(max_len,
-                           static_cast<double>(cands.at(dq.back()).len));
+                           static_cast<double>(cands.record(slot).len));
       }
     }
     return max_len;
@@ -164,8 +168,8 @@ QueryResult NraFamilySelect(const InvertedIndex& index,
       for (size_t s = 0; s < span.count; ++s) {
         const uint32_t id = span.ids[s];
         const float len = span.lens[s];
-        auto it = cands.find(id);
-        if (it == cands.end()) {
+        uint32_t slot = cands.Find(id);
+        if (slot == CandidateSlots::kNoSlot) {
           bool admit = !(options.f_cutoff && f < prune_at);
           if (admit && options.magnitude_bound) {
             // Property 2: best case assumes the set appears in every list.
@@ -177,20 +181,16 @@ QueryResult NraFamilySelect(const InvertedIndex& index,
             }
           }
           if (admit) {
-            Candidate cand;
-            cand.present = DynamicBitset(n);
-            cand.absent = DynamicBitset(n);
-            cand.len = len;
-            cand.missing_num = total_weight;
-            it = cands.emplace(id, std::move(cand)).first;
+            slot = cands.Insert(Candidate{id, len, 0.0, total_weight});
             ++counters.candidate_inserts;
             if (hybrid) origin[i].push_back(id);
           }
         }
-        if (it != cands.end()) {
-          Candidate& cand = it->second;
-          if (!cand.present.Test(i) && !cand.absent.Test(i)) {
-            cand.present.Set(i);
+        if (slot != CandidateSlots::kNoSlot) {
+          uint64_t* present = cands.words(slot);
+          if (!TestBit(present, i) && !TestBit(present + W, i)) {
+            SetBit(present, i);
+            Candidate& cand = cands.record(slot);
             cand.lb_num += q.weights[i];
             cand.missing_num -= q.weights[i];
           }
@@ -214,29 +214,29 @@ QueryResult NraFamilySelect(const InvertedIndex& index,
     const bool do_scan =
         !options.lazy_candidate_scan || f < prune_at || all_done;
     if (do_scan) {
-      for (auto it = cands.begin(); it != cands.end();) {
+      cands.Scan([&](Candidate& cand, uint64_t* present) {
         ++counters.candidate_scan_steps;
         // Control poll once per scan batch: the sweep itself can dominate
         // on huge candidate sets.
         if ((counters.candidate_scan_steps & 1023u) == 0 &&
             poller.ShouldStop()) {
           tripped = true;
-          break;
+          return ScanVerdict::kStop;
         }
-        Candidate& cand = it->second;
+        uint64_t* absent = present + W;
         // Resolve absences: exhausted/abandoned lists, and Order
         // Preservation against each frontier.
         double frontier_extra = 0.0;  // only used without magnitude bound
         bool complete = true;
         for (size_t i = 0; i < n; ++i) {
-          if (cand.present.Test(i) || cand.absent.Test(i)) continue;
+          if (TestBit(present, i) || TestBit(absent, i)) continue;
           bool is_absent = done[i];
           if (!is_absent && options.order_preservation &&
               cand.len < cursors[i].FrontierLen()) {
             is_absent = true;  // Property 1: it would have appeared already
           }
           if (is_absent) {
-            cand.absent.Set(i);
+            SetBit(absent, i);
             cand.missing_num -= q.weights[i];
             continue;
           }
@@ -248,19 +248,19 @@ QueryResult NraFamilySelect(const InvertedIndex& index,
                         ? (cand.lb_num + cand.missing_num) / denom
                         : cand.lb_num / denom + frontier_extra;
         if (complete) {
-          double score = measure.ScoreFromBits(q, cand.present, cand.len);
-          if (score >= tau) result.matches.push_back(Match{it->first, score});
-          it = cands.erase(it);
-          continue;
+          double score = measure.ScoreFromWords(q, present, cand.len);
+          if (score >= tau) result.matches.push_back(Match{cand.id, score});
+          return ScanVerdict::kErase;
         }
         if (ub < prune_at) {
           ++counters.candidate_prunes;
-          it = cands.erase(it);
-          continue;
+          return ScanVerdict::kErase;
         }
-        if (options.lazy_candidate_scan && !all_done) break;
-        ++it;
-      }
+        if (options.lazy_candidate_scan && !all_done) {
+          return ScanVerdict::kStop;
+        }
+        return ScanVerdict::kKeep;
+      });
     }
     if (tripped) break;
 
@@ -280,8 +280,7 @@ QueryResult NraFamilySelect(const InvertedIndex& index,
     // verification before being reported.
     result.termination = poller.termination();
     std::vector<uint32_t> ids;
-    ids.reserve(cands.size());
-    for (const auto& [id, cand] : cands) ids.push_back(id);
+    cands.ForEach([&](const Candidate& cand) { ids.push_back(cand.id); });
     VerifyPartialCandidates(measure, q, tau, ids, &result);
   }
   counters.results = result.matches.size();

@@ -3,10 +3,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "core/types.h"
 #include "index/inverted_index.h"
 #include "sim/idf.h"
@@ -132,6 +135,165 @@ inline void VerifyPartialCandidates(const SimilarityMeasure& measure,
     if (score >= tau) result->matches.push_back(Match{id, score});
   }
 }
+
+/// This thread's id → slot table for one query's candidates: one 64-bit
+/// entry per set id, an epoch tag in the high half and the slot of the
+/// id's record in the low half. Each query claims the table and starts a
+/// new epoch, so entries left by earlier queries miss without a clear; only
+/// an epoch wrap clears the tags. The table costs 8 bytes per set per
+/// querying thread and is never shrunk.
+///
+/// A kernel claims the table for the lifetime of one CandidateSlots and must
+/// not run another query on the same thread before it is destroyed.
+/// Ids are not range-checked in release builds: in memory mode they come
+/// from the index, and in disk mode PostingStore::ReadBlock rejects a block
+/// holding an id at or past its id_limit().
+class CandidateSlots {
+ public:
+  static constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+
+  /// Claims the table for ids in [0, num_sets).
+  explicit CandidateSlots(size_t num_sets) : table_(ThreadTable()) {
+    SIMSEL_DCHECK(!table_.in_use);
+    table_.in_use = true;
+    if (table_.entries.size() < num_sets) table_.entries.resize(num_sets, 0);
+    if (++table_.epoch == 0) {
+      std::fill(table_.entries.begin(), table_.entries.end(), 0);
+      table_.epoch = 1;
+    }
+    entries_ = table_.entries.data();
+    tag_ = uint64_t{table_.epoch} << 32;
+    num_sets_ = num_sets;
+  }
+  ~CandidateSlots() { table_.in_use = false; }
+  CandidateSlots(const CandidateSlots&) = delete;
+  CandidateSlots& operator=(const CandidateSlots&) = delete;
+
+  /// The slot set for `id` this query, or kNoSlot.
+  uint32_t Find(uint32_t id) const {
+    SIMSEL_DCHECK(id < num_sets_);
+    const uint64_t e = entries_[id];
+    return (e & kTagMask) == tag_ ? static_cast<uint32_t>(e) : kNoSlot;
+  }
+  void Set(uint32_t id, uint32_t slot) {
+    SIMSEL_DCHECK(id < num_sets_);
+    entries_[id] = tag_ | slot;
+  }
+  /// Tag 0 is never a live epoch, so a later Find of `id` misses.
+  void Erase(uint32_t id) {
+    SIMSEL_DCHECK(id < num_sets_);
+    entries_[id] = 0;
+  }
+  /// Marks `id` seen; false if it already was this query.
+  bool Mark(uint32_t id) {
+    if (Find(id) != kNoSlot) return false;
+    Set(id, 0);
+    return true;
+  }
+
+ private:
+  static constexpr uint64_t kTagMask = ~uint64_t{0} << 32;
+  struct Table {
+    std::vector<uint64_t> entries;
+    uint32_t epoch = 0;
+    bool in_use = false;  // the re-entrancy guard
+  };
+  static Table& ThreadTable() {
+    thread_local Table table;
+    return table;
+  }
+
+  Table& table_;
+  uint64_t* entries_ = nullptr;
+  uint64_t tag_ = 0;
+  size_t num_sets_ = 0;
+};
+
+/// What a candidate scan does with the record it visits.
+enum class ScanVerdict {
+  kKeep,   // the record survives; continue
+  kErase,  // drop the record; continue
+  kStop,   // keep this record and every later one; end the scan
+};
+
+/// The NRA family's candidate set: trivially copyable `Record`s (each with
+/// a `uint32_t id`) stored densely in insertion order, each followed by
+/// `words_per_record` membership words in a parallel arena, and found by id
+/// through the thread's CandidateSlots. Nothing is allocated per candidate.
+template <class Record>
+class CandidateSet {
+  static_assert(std::is_trivially_copyable_v<Record>);
+
+ public:
+  CandidateSet(size_t num_sets, size_t words_per_record)
+      : slots_(num_sets), w_(words_per_record) {}
+
+  bool empty() const { return head_ == records_.size(); }
+
+  uint32_t Find(uint32_t id) const { return slots_.Find(id); }
+  Record& record(uint32_t slot) { return records_[slot]; }
+  uint64_t* words(size_t slot) { return words_.data() + slot * w_; }
+
+  /// Appends `r` with all-zero words; returns its slot.
+  uint32_t Insert(const Record& r) {
+    const uint32_t slot = static_cast<uint32_t>(records_.size());
+    records_.push_back(r);
+    words_.resize(words_.size() + w_, 0);
+    slots_.Set(r.id, slot);
+    return slot;
+  }
+
+  /// Visits the live records in insertion order; `visit(Record&, uint64_t*
+  /// words)` returns a ScanVerdict. Erased ids miss in later Finds, as after
+  /// `unordered_map::erase`. The survivors are compacted in place and keep
+  /// their order.
+  template <class Visit>
+  void Scan(Visit&& visit) {
+    const size_t end = records_.size();
+    size_t live = 0;  // survivors so far, compacted into [0, live)
+    size_t r = head_;
+    for (; r < end; ++r) {
+      const ScanVerdict v = visit(records_[r], words(r));
+      if (v == ScanVerdict::kStop) break;
+      if (v == ScanVerdict::kErase) {
+        slots_.Erase(records_[r].id);
+        continue;
+      }
+      Move(r, live++);
+    }
+    // A scan that stops before any survivor erased a prefix: step past it,
+    // and slide the kept tail down only once that prefix outgrows it, so a
+    // lazy scan costs the records it visits (amortized).
+    if (live == 0 && 2 * r <= end) {
+      head_ = r;
+      return;
+    }
+    for (; r < end; ++r) Move(r, live++);
+    records_.resize(live);
+    words_.resize(live * w_);
+    head_ = 0;
+  }
+
+  /// Calls fn(const Record&) for every live record, in insertion order.
+  template <class Fn>
+  void ForEach(Fn&& fn) const {
+    for (size_t r = head_; r < records_.size(); ++r) fn(records_[r]);
+  }
+
+ private:
+  void Move(size_t from, size_t to) {
+    if (from == to) return;
+    records_[to] = records_[from];
+    std::copy_n(words(from), w_, words(to));
+    slots_.Set(records_[to].id, static_cast<uint32_t>(to));
+  }
+
+  CandidateSlots slots_;
+  size_t w_;
+  std::vector<Record> records_;  // live in [head_, size())
+  std::vector<uint64_t> words_;  // w_ per record, same index
+  size_t head_ = 0;
+};
 
 /// Marks `result` failed: matches are cleared (a lost read means they can no
 /// longer be trusted), the status is recorded, counters stay (they reflect

@@ -1,6 +1,6 @@
 #include "core/nra.h"
 
-#include <unordered_map>
+#include <vector>
 
 #include "common/bitset.h"
 #include "core/internal.h"
@@ -10,10 +10,11 @@ namespace simsel {
 
 namespace {
 
+// A candidate's words are one bitmap: the lists the set has been seen in.
 struct Candidate {
-  DynamicBitset bits;
-  float len = 0.0f;
-  double lb_num = 0.0;  // Σ weights[i] over set bits (unnormalized)
+  uint32_t id;
+  float len;
+  double lb_num;  // Σ weights[i] over set bits (unnormalized)
 };
 
 }  // namespace
@@ -21,7 +22,9 @@ struct Candidate {
 QueryResult NraSelect(const InvertedIndex& index, const IdfMeasure& measure,
                       const PreparedQuery& q, double tau,
                       const SelectOptions& options) {
+  using internal::CandidateSlots;
   using internal::PruneThreshold;
+  using internal::ScanVerdict;
   tau = internal::ClampTau(tau);
   QueryResult result;
   const size_t n = q.tokens.size();
@@ -39,7 +42,8 @@ QueryResult NraSelect(const InvertedIndex& index, const IdfMeasure& measure,
     cursors.back().Next();
   }
 
-  std::unordered_map<uint32_t, Candidate> cands;
+  const size_t W = BitWords(n);
+  internal::CandidateSet<Candidate> cands(measure.collection().size(), W);
 
   // Frontier contribution of list i (0 when exhausted).
   auto frontier_w = [&](size_t i) {
@@ -65,18 +69,16 @@ QueryResult NraSelect(const InvertedIndex& index, const IdfMeasure& measure,
       uint32_t id = cursors[i].id();
       float len = cursors[i].len();
       cursors[i].Next();
-      auto it = cands.find(id);
-      if (it == cands.end()) {
+      uint32_t slot = cands.Find(id);
+      if (slot == CandidateSlots::kNoSlot) {
         if (options.f_cutoff && f < prune_at) continue;
-        Candidate cand;
-        cand.bits = DynamicBitset(n);
-        cand.len = len;
-        it = cands.emplace(id, std::move(cand)).first;
+        slot = cands.Insert(Candidate{id, len, 0.0});
         ++counters.candidate_inserts;
       }
-      if (!it->second.bits.Test(i)) {
-        it->second.bits.Set(i);
-        it->second.lb_num += q.weights[i];
+      uint64_t* bits = cands.words(slot);
+      if (!TestBit(bits, i)) {
+        SetBit(bits, i);
+        cands.record(slot).lb_num += q.weights[i];
       }
     }
     recompute_f();
@@ -84,39 +86,38 @@ QueryResult NraSelect(const InvertedIndex& index, const IdfMeasure& measure,
     const bool do_scan = !options.lazy_candidate_scan || f < prune_at ||
                          all_done;
     if (do_scan) {
-      for (auto it = cands.begin(); it != cands.end();) {
+      cands.Scan([&](Candidate& cand, uint64_t* bits) {
         ++counters.candidate_scan_steps;
         if ((counters.candidate_scan_steps & 1023u) == 0 &&
             poller.ShouldStop()) {
           tripped = true;
-          break;
+          return ScanVerdict::kStop;
         }
-        Candidate& cand = it->second;
         // Upper bound: known contributions plus each missing list's
         // frontier contribution w_i(f_i) (0 once the list is exhausted).
         double ub_extra = 0.0;
         bool complete = true;
         for (size_t i = 0; i < n; ++i) {
-          if (cand.bits.Test(i) || cursors[i].AtEnd()) continue;
+          if (TestBit(bits, i) || cursors[i].AtEnd()) continue;
           complete = false;
           ub_extra += frontier_w(i);
         }
         double denom = static_cast<double>(cand.len) * q.length;
         double ub = cand.lb_num / denom + ub_extra;
         if (complete) {
-          double score = measure.ScoreFromBits(q, cand.bits, cand.len);
-          if (score >= tau) result.matches.push_back(Match{it->first, score});
-          it = cands.erase(it);
-          continue;
+          double score = measure.ScoreFromWords(q, bits, cand.len);
+          if (score >= tau) result.matches.push_back(Match{cand.id, score});
+          return ScanVerdict::kErase;
         }
         if (ub < prune_at) {
           ++counters.candidate_prunes;
-          it = cands.erase(it);
-          continue;
+          return ScanVerdict::kErase;
         }
-        if (options.lazy_candidate_scan && !all_done) break;
-        ++it;
-      }
+        if (options.lazy_candidate_scan && !all_done) {
+          return ScanVerdict::kStop;
+        }
+        return ScanVerdict::kKeep;
+      });
     }
 
     if (tripped) break;
@@ -133,8 +134,7 @@ QueryResult NraSelect(const InvertedIndex& index, const IdfMeasure& measure,
   if (poller.termination() != Termination::kCompleted) {
     result.termination = poller.termination();
     std::vector<uint32_t> ids;
-    ids.reserve(cands.size());
-    for (const auto& [id, cand] : cands) ids.push_back(id);
+    cands.ForEach([&](const Candidate& cand) { ids.push_back(cand.id); });
     internal::VerifyPartialCandidates(measure, q, tau, ids, &result);
   }
   counters.results = result.matches.size();

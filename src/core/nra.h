@@ -8,7 +8,7 @@
 namespace simsel {
 
 /// Classic No-Random-Access algorithm (Algorithm 1): round-robin sequential
-/// reads, a candidate hash table with lower/upper score bounds from the list
+/// reads, a candidate table with lower/upper score bounds from the list
 /// frontiers, no semantic properties. As in the paper's experimental setup,
 /// the two bookkeeping concessions of Section V are applied (candidate scans
 /// only while F < τ, early scan termination) — without them the baseline

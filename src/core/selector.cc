@@ -175,9 +175,22 @@ Result<SimilaritySelector> SimilaritySelector::BuildWithSavedIndex(
       index.has_sketches() &&
       (index.sketch_begin() != 0 ||
        index.sketch_num_sets() != sel.collection_->size());
+  // Every posting must name a supplied set: the kernels index per-query
+  // tables by set id. Empty records add no postings, so the count check
+  // cannot tell where the postings point.
+  bool ids_in_range = true;
+  const size_t num_sets = sel.collection_->size();
+  for (TokenId t = 0; t < index.num_tokens(); ++t) {
+    for (const uint32_t* ids : {index.LenIds(t), index.IdIds(t)}) {
+      if (ids == nullptr) continue;
+      for (size_t i = 0; i < index.ListSize(t); ++i) {
+        ids_in_range &= ids[i] < num_sets;
+      }
+    }
+  }
   if (index.total_postings() != expected ||
       index.num_tokens() != sel.collection_->dictionary().size() ||
-      sketch_mismatch) {
+      sketch_mismatch || !ids_in_range) {
     SIMSEL_LOG(kWarn) << "index at " << index_path
                       << " does not match the supplied records ("
                       << index.total_postings() << " postings, expected "

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <type_traits>
 #include <utility>
 
 #include "common/bitset.h"
@@ -17,16 +18,16 @@ namespace {
 
 using internal::LengthWindow;
 
+// Trivially copyable; the lists known to contain the set live in a parallel
+// word arena (see ShortestFirst), so moving a candidate moves no heap.
 struct Candidate {
   uint32_t id;
   float len;
-  // Lists known to contain the set; tracked only when the bound scores
-  // from them (a bitset per candidate is a heap allocation).
-  DynamicBitset present;
   // Optimistic score in the bound's units: the bounds of every list not yet
   // proven absent (Magnitude Boundedness applied incrementally).
   double potential;
 };
+static_assert(std::is_trivially_copyable_v<Candidate>);
 
 // Candidates and by-length postings share the (len, id) sort order.
 bool CandBefore(const Candidate& c, float len, uint32_t id) {
@@ -221,6 +222,19 @@ QueryResult ShortestFirst(const InvertedIndex& index, const Measure& measure,
 
   std::vector<Candidate> cands;  // sorted by (len, id)
   std::vector<Candidate> next;
+  // Membership words, W per candidate at the candidate's index: bit i set
+  // iff list i contains the set. Only a bound that scores from the lists
+  // keeps them.
+  const size_t W = Bound::kScoresFromLists ? BitWords(n) : 0;
+  std::vector<uint64_t> cand_words;
+  std::vector<uint64_t> next_words;
+  // Appends cands[from] to next; returns its words there.
+  auto keep = [&](size_t from) {
+    next.push_back(cands[from]);
+    const uint64_t* src = cand_words.data() + from * W;
+    for (size_t w = 0; w < W; ++w) next_words.push_back(src[w]);
+    return next_words.data() + (next.size() - 1) * W;
+  };
 
   {
     obs::TraceScope rounds_span(options.trace, "rounds");
@@ -251,6 +265,7 @@ QueryResult ShortestFirst(const InvertedIndex& index, const Measure& measure,
 
       cursor.SeekSpanStart(window.lo);
       next.clear();
+      next_words.clear();
       size_t ci = 0;
       // Block-at-a-time merge: postings arrive in contiguous spans (charged
       // once per span), candidates in the same (len, id) order.
@@ -282,7 +297,7 @@ QueryResult ShortestFirst(const InvertedIndex& index, const Measure& measure,
           Candidate& c = cands[ci];
           c.potential -= bound.Absent(list, c.len);
           if (bound.Viable(c.potential, c.len)) {
-            next.push_back(std::move(c));
+            keep(ci);
           } else {
             ++counters.candidate_prunes;
           }
@@ -290,23 +305,20 @@ QueryResult ShortestFirst(const InvertedIndex& index, const Measure& measure,
         } else if (have_p && have_c && cands[ci].id == pid &&
                    cands[ci].len == plen) {
           ++counters.candidate_scan_steps;
-          Candidate& c = cands[ci];
-          if constexpr (Bound::kScoresFromLists) c.present.Set(list);
-          next.push_back(std::move(c));
+          uint64_t* words = keep(ci);
+          if constexpr (Bound::kScoresFromLists) SetBit(words, list);
           ++ci;
           ++si;
         } else {
           // New set, first seen in this list.
-          Candidate c;
-          c.id = pid;
-          c.len = plen;
-          if constexpr (Bound::kScoresFromLists) {
-            c.present = DynamicBitset(n);
-            c.present.Set(list);
-          }
-          c.potential = bound.Start(k, plen);
-          if (bound.Viable(c.potential, c.len)) {
-            next.push_back(std::move(c));
+          const double potential = bound.Start(k, plen);
+          if (bound.Viable(potential, plen)) {
+            next.push_back(Candidate{pid, plen, potential});
+            next_words.resize(next_words.size() + W, 0);
+            if constexpr (Bound::kScoresFromLists) {
+              SetBit(next_words.data() + (next.size() - 1) * W,
+                               list);
+            }
             ++counters.candidate_inserts;
           } else {
             ++counters.candidate_prunes;
@@ -319,13 +331,14 @@ QueryResult ShortestFirst(const InvertedIndex& index, const Measure& measure,
       if (tripped) {
         // Trip epilogue: candidates in flight are `next` (already merged
         // this round) plus the unmerged tail of `cands`; their bitmaps are
-        // incomplete, so report them through exact verification only.
-        next.insert(next.end(), std::make_move_iterator(cands.begin() + ci),
-                    std::make_move_iterator(cands.end()));
+        // incomplete (and stay behind), so report them through exact
+        // verification only.
+        next.insert(next.end(), cands.begin() + ci, cands.end());
         cands.swap(next);
         break;
       }
       cands.swap(next);
+      cand_words.swap(next_words);
       list_span.SetItems(cands.size());
     }
   }
@@ -336,8 +349,10 @@ QueryResult ShortestFirst(const InvertedIndex& index, const Measure& measure,
   bool scored = false;
   if constexpr (Bound::kScoresFromLists) {
     if (result.termination == Termination::kCompleted) {
-      for (const Candidate& c : cands) {
-        double score = measure.ScoreFromBits(q, c.present, c.len);
+      for (size_t j = 0; j < cands.size(); ++j) {
+        const Candidate& c = cands[j];
+        double score =
+            measure.ScoreFromWords(q, cand_words.data() + j * W, c.len);
         if (score >= tau) result.matches.push_back(Match{c.id, score});
       }
       scored = true;

@@ -1,6 +1,7 @@
 #include "core/ta.h"
 
-#include <unordered_set>
+#include <algorithm>
+#include <vector>
 
 #include "common/bitset.h"
 #include "common/logging.h"
@@ -56,7 +57,9 @@ QueryResult TaEngineSelect(const InvertedIndex& index,
     }
   }
 
-  std::unordered_set<uint32_t> seen;
+  CandidateSlots seen(measure.collection().size());
+  // One probe bitmap, reset for each new set.
+  std::vector<uint64_t> bits(BitWords(n));
   std::vector<char> done(n, 0);
 
   auto list_done = [&](size_t i) {
@@ -87,7 +90,7 @@ QueryResult TaEngineSelect(const InvertedIndex& index,
       uint32_t id = cursors[i].id();
       float len = cursors[i].len();
       cursors[i].Next();
-      if (!seen.insert(id).second) continue;
+      if (!seen.Mark(id)) continue;
       if (use_mb) {
         // Property 2: best case assumes membership in every list.
         double best = total_weight / (static_cast<double>(len) * q.length);
@@ -97,8 +100,8 @@ QueryResult TaEngineSelect(const InvertedIndex& index,
         }
       }
       // Complete the score with one random-access probe per other list.
-      DynamicBitset bits(n);
-      bits.Set(i);
+      std::fill(bits.begin(), bits.end(), 0);
+      SetBit(bits.data(), i);
       for (size_t j = 0; j < n; ++j) {
         if (j == i) continue;
         const ExtendibleHash* hash = index.hash(q.tokens[j]);
@@ -115,9 +118,11 @@ QueryResult TaEngineSelect(const InvertedIndex& index,
             ++counters.pool_misses;
           }
         }
-        if (hash->Lookup(id, nullptr, &counters.rand_page_reads)) bits.Set(j);
+        if (hash->Lookup(id, nullptr, &counters.rand_page_reads)) {
+          SetBit(bits.data(), j);
+        }
       }
-      double score = measure.ScoreFromBits(q, bits, len);
+      double score = measure.ScoreFromWords(q, bits.data(), len);
       if (score >= tau) result.matches.push_back(Match{id, score});
     }
     if (all_done) break;

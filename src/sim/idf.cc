@@ -76,14 +76,20 @@ double IdfMeasure::Score(const PreparedQuery& q, SetId s) const {
   return ScoreFromSum(q, sum, set_len_[s]);
 }
 
+double IdfMeasure::ScoreFromWords(const PreparedQuery& q,
+                                  const uint64_t* words,
+                                  float set_len) const {
+  double sum = 0.0;
+  ForEachSetBit(words, q.tokens.size(),
+                [&](size_t i) { sum += q.weights[i]; });
+  return ScoreFromSum(q, sum, set_len);
+}
+
 double IdfMeasure::ScoreFromBits(const PreparedQuery& q,
                                  const DynamicBitset& bits,
                                  float set_len) const {
-  double sum = 0.0;
-  for (size_t i = 0; i < q.tokens.size(); ++i) {
-    if (bits.Test(i)) sum += q.weights[i];
-  }
-  return ScoreFromSum(q, sum, set_len);
+  SIMSEL_DCHECK(bits.size() == q.tokens.size());
+  return ScoreFromWords(q, bits.words(), set_len);
 }
 
 }  // namespace simsel

@@ -1,6 +1,7 @@
 #ifndef SIMSEL_SIM_IDF_H_
 #define SIMSEL_SIM_IDF_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/bitset.h"
@@ -38,9 +39,15 @@ class IdfMeasure : public SimilarityMeasure {
   /// Normalized set length len(s), as stored in the inverted lists.
   float set_length(SetId s) const { return set_len_[s]; }
 
-  /// Canonical score given the membership bit vector `bits` (bit i set iff
-  /// q.tokens[i] ∈ s) and the set's length. All algorithms report through
-  /// this function so scores agree bit-for-bit across strategies.
+  /// Canonical score given the membership words `words` (in common/bitset.h's
+  /// layout, bit i set iff q.tokens[i] ∈ s) and the
+  /// set's length: q.weights[i] added over the set bits in ascending i, then
+  /// divided through ScoreFromSum. All list-merging algorithms report
+  /// through this function so scores agree bit-for-bit across strategies.
+  double ScoreFromWords(const PreparedQuery& q, const uint64_t* words,
+                        float set_len) const;
+
+  /// ScoreFromWords over a bitset of q.tokens.size() bits.
   double ScoreFromBits(const PreparedQuery& q, const DynamicBitset& bits,
                        float set_len) const;
 

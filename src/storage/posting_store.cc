@@ -1,5 +1,6 @@
 #include "storage/posting_store.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.h"
@@ -7,6 +8,15 @@
 #include "storage/codec.h"
 
 namespace simsel {
+namespace {
+
+bool IdsBelow(const uint32_t* ids, size_t n, size_t limit) {
+  uint32_t max_id = 0;
+  for (size_t i = 0; i < n; ++i) max_id = std::max(max_id, ids[i]);
+  return n == 0 || max_id < limit;
+}
+
+}  // namespace
 
 PostingStore PostingStore::Build(const InvertedIndex& index,
                                  size_t page_bytes) {
@@ -33,6 +43,9 @@ PostingStore PostingStore::Build(const InvertedIndex& index,
     store.offsets_[t] = store.file_.size();
     const uint32_t* ids = index.LenIds(t);
     const float* lens = index.LenLens(t);
+    for (size_t i = 0; i < n; ++i) {
+      store.id_limit_ = std::max<size_t>(store.id_limit_, size_t{ids[i]} + 1);
+    }
     buf.clear();
     for (size_t first = 0; first < n; first += bp) {
       EncodePostingBlock(ids + first, lens + first, std::min(bp, n - first),
@@ -111,11 +124,13 @@ size_t PostingStore::ReadBlock(uint32_t token, size_t first, size_t count,
           DecodePostingBlock(scratch->raw.data() + bs, be - bs, blk_count,
                              scratch->ids.data(), scratch->lens.data(), &got,
                              &consumed, scratch) &&
-          got == blk_count && consumed == be - bs;
+          got == blk_count && consumed == be - bs &&
+          IdsBelow(scratch->ids.data(), got, id_limit_);
       if (!ok) {
         // PagedFile's checksum is no MAC: a hostile image can pass Load
-        // with undecodable blocks. A caller with a status gets Corruption;
-        // a null status keeps the historical contract (checked crash).
+        // with undecodable blocks or out-of-range ids. A caller with a
+        // status gets Corruption; a null status keeps the historical
+        // contract (checked crash).
         SIMSEL_CHECK_MSG(status != nullptr,
                          "corrupt posting block in store image");
         *status = Status::Corruption("corrupt posting block in store image");
@@ -161,7 +176,8 @@ Status PostingStore::Save(const std::string& path) const {
   return out.SaveToFile(path);
 }
 
-Result<PostingStore> PostingStore::Load(const std::string& path) {
+Result<PostingStore> PostingStore::Load(const std::string& path,
+                                        size_t num_sets) {
   Result<PagedFile> file = PagedFile::LoadFromFile(path);
   if (!file.ok()) return file.status();
   const std::vector<uint8_t>& buf = file->contents();
@@ -181,6 +197,7 @@ Result<PostingStore> PostingStore::Load(const std::string& path) {
   }
   PostingStore store;
   store.block_postings_ = block_postings;
+  store.id_limit_ = num_sets;
   store.offsets_.resize(num_tokens);
   store.counts_.resize(num_tokens);
   store.blk_index_.assign(num_tokens + 1, 0);

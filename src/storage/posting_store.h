@@ -35,17 +35,24 @@ class InvertedIndex;
 ///
 /// Persistence: the underlying PagedFile round-trips via Save/Load with the
 /// list/block directory re-encoded in the image header.
+///
+/// Id bound: every posting id is below id_limit(). ReadBlock reports a
+/// decoded block holding a larger id as Corruption, so the id-indexed
+/// tables of the query kernels never see an out-of-range id, even from an
+/// image that passed Load.
 class PostingStore {
  public:
   /// Serializes `index`'s by-length lists. `page_bytes` is the modeled disk
   /// page size (defaults to the index's). Block granularity follows
   /// index.block_postings() so store blocks and summary blocks coincide.
+  /// id_limit() is one past the index's largest posting id.
   static PostingStore Build(const InvertedIndex& index, size_t page_bytes = 0);
 
   PostingStore(PostingStore&& other) noexcept { *this = std::move(other); }
   PostingStore& operator=(PostingStore&& other) noexcept {
     file_ = std::move(other.file_);
     block_postings_ = other.block_postings_;
+    id_limit_ = other.id_limit_;
     offsets_ = std::move(other.offsets_);
     counts_ = std::move(other.counts_);
     blk_index_ = std::move(other.blk_index_);
@@ -63,6 +70,9 @@ class PostingStore {
 
   /// Postings per compressed block (matches the source index's summaries).
   size_t block_postings() const { return block_postings_; }
+
+  /// Exclusive bound on the posting ids ReadBlock returns.
+  size_t id_limit() const { return id_limit_; }
 
   /// Disk bytes including page-alignment padding.
   size_t SizeBytes() const { return file_.size(); }
@@ -82,11 +92,12 @@ class PostingStore {
   /// identically either way. A null scratch falls back to a thread-local.
   /// Returns the number of postings read. `status`, when non-null, receives
   /// the read outcome (OK, the injected / real failure, or Corruption for a
-  /// block that does not decode) and a failed call returns 0 postings (the
-  /// destination buffers may hold blocks decoded before the failure). A
-  /// null `status` keeps the historical contract: an unexpected read
-  /// failure or undecodable block is a checked programming error (crash),
-  /// appropriate for callers with no recovery path.
+  /// block that does not decode or holds an id at or past id_limit()) and a
+  /// failed call returns 0 postings (the destination buffers may hold
+  /// blocks decoded before the failure). A null `status` keeps the
+  /// historical contract: an unexpected read failure or undecodable block
+  /// is a checked programming error (crash), appropriate for callers with
+  /// no recovery path.
   size_t ReadBlock(uint32_t token, size_t first, size_t count, uint32_t* ids,
                    float* lens, bool random = false,
                    PageReadStats* reader = nullptr, Status* status = nullptr,
@@ -105,9 +116,12 @@ class PostingStore {
     rand_reads_.store(0, std::memory_order_relaxed);
   }
 
-  /// Persists / restores the image (checksummed; see PagedFile).
+  /// Persists / restores the image (checksummed; see PagedFile). The
+  /// checksum is no MAC, so Load takes the id bound from the caller — the
+  /// number of sets of the collection the store will serve — rather than
+  /// from the image.
   Status Save(const std::string& path) const;
-  static Result<PostingStore> Load(const std::string& path);
+  static Result<PostingStore> Load(const std::string& path, size_t num_sets);
 
   /// Attaches a scripted fault source to the underlying file (borrowed; null
   /// detaches). See FaultInjector.
@@ -120,6 +134,7 @@ class PostingStore {
 
   PagedFile file_;
   size_t block_postings_ = 128;
+  size_t id_limit_ = 0;
   std::vector<uint64_t> offsets_;  // byte offset of each list's first block
   std::vector<uint32_t> counts_;
   // Per-list block layout in CSR form: list t's blocks are

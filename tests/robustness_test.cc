@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "test_util.h"
 
@@ -57,13 +59,88 @@ TEST(RobustnessTest, SingleCharacterRecords) {
   EXPECT_EQ(r.matches[0].id, 0u);
 }
 
+// The list-merging kernels keep ⌈n/64⌉ membership words per candidate, so
+// queries with n distinct tokens around the one-word boundary must answer
+// exactly like the linear scan (ids and score bits), in memory and on disk,
+// and a budget-tripped query must still return a sound subset.
 TEST(RobustnessTest, VeryLongRecord) {
   std::string longrec;
-  for (int i = 0; i < 200; ++i) longrec += "token" + std::to_string(i) + " ";
+  for (int i = 0; i < 200; ++i) {
+    longrec += "token";
+    longrec += std::to_string(i);
+    longrec += ' ';
+  }
   SimilaritySelector sel = SimilaritySelector::Build({longrec, "short"});
   QueryResult r = sel.Select(longrec, 0.95);
   ASSERT_FALSE(r.matches.empty());
   EXPECT_EQ(r.matches[0].id, 0u);
+
+  constexpr double kTau = 0.7;
+  Rng rng(/*seed=*/64);
+  for (size_t n : {63, 64, 65, 130}) {
+    // Records keep a random 50-100% of the query's n tokens (so members on
+    // both sides of bit 64 go missing) plus a few tokens outside it.
+    std::string query;
+    for (size_t t = 0; t < n; ++t) {
+      query += 'w';
+      query += std::to_string(t);
+      query += ' ';
+    }
+    std::vector<std::string> records = {query};
+    for (int rec = 0; rec < 80; ++rec) {
+      const uint64_t keep = 50 + rng.NextBounded(51);
+      std::string text;
+      for (size_t t = 0; t < n + 16; ++t) {
+        if (rng.NextBounded(100) >= (t < n ? keep : 20)) continue;
+        text += 'w';
+        text += std::to_string(t);
+        text += ' ';
+      }
+      records.push_back(text);
+    }
+    BuildOptions build;
+    build.tokenizer.kind = TokenizerKind::kWord;
+    build.index.page_bytes = 512;
+    SimilaritySelector boundary = SimilaritySelector::Build(records, build);
+    PostingStore store = PostingStore::Build(boundary.index());
+    const PreparedQuery q = boundary.Prepare(query);
+    ASSERT_EQ(q.tokens.size(), n);
+    const QueryResult expected =
+        boundary.SelectPrepared(q, kTau, AlgorithmKind::kLinearScan, {});
+    ASSERT_GT(expected.matches.size(), 1u) << "n=" << n;
+    ASSERT_LT(expected.matches.size(), records.size()) << "n=" << n;
+    for (AlgorithmKind kind :
+         {AlgorithmKind::kSf, AlgorithmKind::kInra, AlgorithmKind::kHybrid,
+          AlgorithmKind::kNra, AlgorithmKind::kTa, AlgorithmKind::kIta}) {
+      std::string context = AlgorithmKindName(kind);
+      context += " n=";
+      context += std::to_string(n);
+      for (bool on_disk : {false, true}) {
+        SelectOptions options;
+        if (on_disk) options.posting_store = &store;
+        const QueryResult actual =
+            boundary.SelectPrepared(q, kTau, kind, options);
+        ASSERT_TRUE(actual.status.ok()) << context;
+        ASSERT_EQ(actual.matches.size(), expected.matches.size())
+            << context << (on_disk ? " disk" : " memory");
+        for (size_t i = 0; i < expected.matches.size(); ++i) {
+          EXPECT_EQ(actual.matches[i].id, expected.matches[i].id) << context;
+          EXPECT_EQ(actual.matches[i].score, expected.matches[i].score)
+              << context << (on_disk ? " disk" : " memory") << " id "
+              << actual.matches[i].id;
+        }
+      }
+      // Tripped after reading about half of what the full query reads.
+      const QueryResult full = boundary.SelectPrepared(q, kTau, kind, {});
+      SelectOptions budget;
+      budget.control.max_elements_read =
+          std::max<uint64_t>(1, full.counters.elements_read / 2);
+      const QueryResult partial =
+          boundary.SelectPrepared(q, kTau, kind, budget);
+      EXPECT_EQ(partial.termination, Termination::kBudget) << context;
+      testing_util::ExpectSoundPartial(full, partial, context);
+    }
+  }
 }
 
 TEST(RobustnessTest, HighlySkewedListLengths) {
@@ -148,6 +225,27 @@ TEST(RobustnessTest, SavedIndexRejectsWiderSketchSection) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
   // The image still loads over the records it was built from.
   EXPECT_TRUE(SimilaritySelector::BuildWithSavedIndex(padded, path).ok());
+  std::remove(path.c_str());
+}
+
+// Empty records placed first shift every posting's id without changing the
+// posting count or the dictionary, so an image built over them passes both
+// checks against the records alone, yet its ids run past the collection.
+// Loading it must fail: the kernels index per-query tables by set id.
+TEST(RobustnessTest, SavedIndexRejectsIdsPastTheCollection) {
+  std::vector<std::string> records =
+      testing_util::MakeWordRecords(100, /*seed=*/36);
+  std::vector<std::string> shifted(5, "");
+  shifted.insert(shifted.end(), records.begin(), records.end());
+  SimilaritySelector original = SimilaritySelector::Build(shifted);
+  std::string path = TempPath("simsel_id_shift.idx");
+  ASSERT_TRUE(original.SaveIndex(path).ok());
+
+  Result<SimilaritySelector> loaded =
+      SimilaritySelector::BuildWithSavedIndex(records, path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_TRUE(SimilaritySelector::BuildWithSavedIndex(shifted, path).ok());
   std::remove(path.c_str());
 }
 

@@ -156,10 +156,12 @@ TEST(ServerTest, OverloadShedsAtTheQueueBound) {
   // kLinearScan is the slowest algorithm — it keeps the single worker busy
   // so the burst piles into admission instead of draining instantly.
   for (int i = 0; i < kBurst; ++i) {
+    std::string id = "b";
+    id += std::to_string(i);
     ASSERT_TRUE(client
-                    .SendLine(load::FormatQuery(
-                        "b" + std::to_string(i), "-", 0.5,
-                        AlgorithmKind::kLinearScan, records[i % 20]))
+                    .SendLine(load::FormatQuery(id, "-", 0.5,
+                                                AlgorithmKind::kLinearScan,
+                                                records[i % 20]))
                     .ok());
   }
   uint64_t ok = 0, shed = 0, other = 0;

@@ -145,9 +145,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(size_t{1}, size_t{3}, size_t{8}),
                        ::testing::Bool(), ::testing::Bool()),
     [](const auto& info) {
-      return "K" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "Disk" : "Memory") +
-             (std::get<2>(info.param) ? "Pool" : "Serial");
+      std::string name = "K";
+      name += std::to_string(std::get<0>(info.param));
+      name += std::get<1>(info.param) ? "Disk" : "Memory";
+      name += std::get<2>(info.param) ? "Pool" : "Serial";
+      return name;
     });
 
 TEST(ShardedSelectorTest, SqlIsRejected) {
@@ -376,8 +378,10 @@ TEST(ResultCacheTest, ResidentBytesGaugeReconcilesUnderConcurrentChurn) {
       writers.emplace_back([&, t] {
         AccessCounters counters;
         for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-          std::string key =
-              "k" + std::to_string(t) + "-" + std::to_string(i % 64);
+          std::string key = "k";
+          key += std::to_string(t);
+          key += '-';
+          key += std::to_string(i % 64);
           cache.Insert(key, 1, matches, counters);
           CachedResult out;
           cache.Lookup(key, 1, &out);

@@ -100,8 +100,10 @@ INSTANTIATE_TEST_SUITE_P(
                                          Distribution::kSteps)),
     ([](const auto& info) {
       const char* names[] = {"Uniform", "Clustered", "Constant", "Steps"};
-      return "b" + std::to_string(std::get<0>(info.param)) +
-             names[static_cast<int>(std::get<1>(info.param))];
+      std::string name = "b";
+      name += std::to_string(std::get<0>(info.param));
+      name += names[static_cast<int>(std::get<1>(info.param))];
+      return name;
     }));
 
 // --- Extendible hash: bucket page size sweep. ---

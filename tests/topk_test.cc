@@ -47,7 +47,9 @@ TEST_P(TopKParam, MatchesLinearScanTopK) {
 
 INSTANTIATE_TEST_SUITE_P(Ks, TopKParam, ::testing::Values(1, 3, 10, 50),
                          [](const auto& info) {
-                           return "k" + std::to_string(info.param);
+                           std::string name = "k";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(TopKTest, AblationsStayExact) {
