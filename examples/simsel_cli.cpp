@@ -61,6 +61,8 @@
 // Every numeric flag is parsed with the same strictness (full consumption,
 // range validation — common/cli_flags.h): a malformed value prints one
 // diagnostic line on stdout and exits 2 instead of running with a default.
+// An unknown `--algo` name likewise exits 2 (diagnostic on stderr) rather
+// than running another algorithm.
 
 #include <atomic>
 #include <chrono>
@@ -228,23 +230,21 @@ bool ParseTau(int argc, char** argv, double fallback, double* tau) {
   return true;
 }
 
-AlgorithmKind ParseAlgo(int argc, char** argv) {
+/// Parses `--algo=NAME` (the protocol's names, serve::ParseAlgoName; the
+/// last occurrence wins) into `*kind`; absent means SF. Returns false — with
+/// the flag and value named on stderr — on an unknown name: the caller exits
+/// 2 rather than run an algorithm it was not asked for.
+bool ParseAlgo(int argc, char** argv, AlgorithmKind* kind) {
+  *kind = AlgorithmKind::kSf;
+  const char* name = nullptr;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--algo=", 7) == 0) {
-      std::string a = argv[i] + 7;
-      if (a == "sf") return AlgorithmKind::kSf;
-      if (a == "inra") return AlgorithmKind::kInra;
-      if (a == "hybrid") return AlgorithmKind::kHybrid;
-      if (a == "ita") return AlgorithmKind::kIta;
-      if (a == "ta") return AlgorithmKind::kTa;
-      if (a == "nra") return AlgorithmKind::kNra;
-      if (a == "sortbyid") return AlgorithmKind::kSortById;
-      if (a == "pf") return AlgorithmKind::kPrefixFilter;
-      if (a == "scan") return AlgorithmKind::kLinearScan;
-      std::fprintf(stderr, "unknown --algo=%s, using sf\n", a.c_str());
-    }
+    if (std::strncmp(argv[i], "--algo=", 7) == 0) name = argv[i] + 7;
   }
-  return AlgorithmKind::kSf;
+  if (name == nullptr || serve::ParseAlgoName(name, kind)) return true;
+  std::fprintf(stderr,
+               "bad --algo value \"%s\": not an algorithm name (see --help)\n",
+               name);
+  return false;
 }
 
 Result<SimilaritySelector> LoadSelector(const std::string& records_path,
@@ -423,9 +423,8 @@ int RunServeDynamic(const Corpus& corpus, int argc, char** argv, double tau,
     if (!r.status.ok()) {
       std::printf("  !! query failed: %s\n", r.status.ToString().c_str());
     } else if (r.termination != Termination::kCompleted) {
-      std::printf("  !! partial result (%s tripped%s)\n",
-                  TerminationName(r.termination),
-                  r.delta_covered ? "" : ", delta not covered");
+      std::printf("  !! partial result (%s tripped)\n",
+                  TerminationName(r.termination));
     }
     size_t shown = 0;
     for (const Match& m : r.matches) {
@@ -599,7 +598,8 @@ int RunServe(int argc, char** argv) {
   }
   double tau;
   if (!ParseTau(argc, argv, 0.75, &tau)) return Usage();
-  AlgorithmKind kind = ParseAlgo(argc, argv);
+  AlgorithmKind kind;
+  if (!ParseAlgo(argc, argv, &kind)) return 2;
   // --port switches to the network front end (tau/algo then arrive per
   // request over the wire). The UINT64_MAX fallback distinguishes "absent"
   // from an explicit --port=0 (ephemeral).
@@ -842,7 +842,8 @@ int main(int argc, char** argv) {
                      &max_elements)) {
       return 2;
     }
-    AlgorithmKind kind = ParseAlgo(argc, argv);
+    AlgorithmKind kind;
+    if (!ParseAlgo(argc, argv, &kind)) return 2;
     bool explain = HasFlag(argc, argv, "--explain");
     if (cmd == "join") {
       WallTimer timer;

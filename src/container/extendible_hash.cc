@@ -20,6 +20,7 @@ ExtendibleHash::ExtendibleHash(size_t bucket_page_bytes)
   SIMSEL_CHECK_MSG(bucket_capacity_ >= 1, "bucket page too small");
   auto bucket = std::make_shared<Bucket>();
   bucket->local_depth = 0;
+  bucket->ordinal = buckets_created_++;
   directory_.push_back(std::move(bucket));
   global_depth_ = 0;
 }
@@ -93,6 +94,8 @@ void ExtendibleHash::SplitBucket(size_t dir_slot) {
   auto one = std::make_shared<Bucket>();
   zero->local_depth = new_depth;
   one->local_depth = new_depth;
+  zero->ordinal = buckets_created_++;
+  one->ordinal = buckets_created_++;
   uint64_t bit = 1ULL << (new_depth - 1);
   for (const auto& e : old_bucket->entries) {
     ((Fnv1a64(e.first) & bit) ? one : zero)->entries.push_back(e);

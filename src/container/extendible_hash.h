@@ -35,11 +35,12 @@ class ExtendibleHash {
   /// (deletes are rare in the workload; the structure stays valid).
   bool Erase(uint64_t key);
 
-  /// Stable identity of the bucket page `key` hashes to; used as the page
-  /// key when a BufferPool simulates caching of probe I/Os. Invalidated by
-  /// the next Insert.
-  const void* ProbePageId(uint64_t key) const {
-    return directory_[DirSlot(key)].get();
+  /// Identity of the bucket page `key` hashes to: the bucket's creation
+  /// ordinal, so two hashes built from the same inserts agree. Used as the
+  /// page number when a BufferPool simulates caching of probe I/Os.
+  /// Invalidated by the next Insert.
+  uint64_t ProbePageId(uint64_t key) const {
+    return directory_[DirSlot(key)]->ordinal;
   }
 
   size_t size() const { return size_; }
@@ -56,6 +57,7 @@ class ExtendibleHash {
  private:
   struct Bucket {
     int local_depth = 0;
+    uint64_t ordinal = 0;  // creation order, 0 for the first bucket
     std::vector<std::pair<uint64_t, float>> entries;
   };
 
@@ -66,6 +68,7 @@ class ExtendibleHash {
   size_t bucket_capacity_;
   int global_depth_ = 0;
   size_t size_ = 0;
+  uint64_t buckets_created_ = 0;
   std::vector<std::shared_ptr<Bucket>> directory_;
 };
 

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "core/internal.h"
 #include "obs/metrics_registry.h"
 #include "storage/posting_store.h"
@@ -16,9 +17,6 @@ namespace dynamic_internal {
 /// One appended record under the frozen statistics.
 struct DeltaRecord {
   std::vector<TokenId> tokens;  // known tokens, distinct, ascending TokenId
-  std::vector<uint32_t> tfs;    // parallel to tokens (set-semantic IDF
-                                // ignores them; kept so a tf-weighted
-                                // measure could score the delta too)
   float frozen_length = 0.0f;   // with unknown-token mass included
   /// MinHash signature over `tokens` under the main index's sketch family
   /// (empty when the main index carries no sketches): lets the prefilter
@@ -170,9 +168,8 @@ class DeltaIndex {
 /// One immutable generation of the selector: swapped atomically by Rebuild,
 /// freed through the EpochManager once the last pinned reader exits.
 struct State {
+  /// The main segment; in disk mode it owns its PostingStore.
   std::shared_ptr<const SimilaritySelector> main;
-  std::unique_ptr<const PostingStore> store;  // disk mode only
-  size_t main_size = 0;
   /// version() of this generation with an empty delta; the live version is
   /// base_version + delta count.
   uint64_t base_version = 0;
@@ -193,24 +190,19 @@ DeltaRecord Analyze(const std::string& text, const SimilaritySelector& main) {
   const Dictionary& dict = main.collection().dictionary();
   DeltaRecord rec;
   size_t unknown = 0;
-  std::vector<std::pair<TokenId, uint32_t>> known;
   for (const TokenCount& tc : main.tokenizer().TokenizeCounted(text)) {
     auto id = dict.Find(tc.token);
     if (id.has_value()) {
-      known.emplace_back(*id, tc.count);
+      rec.tokens.push_back(*id);
     } else {
       // Unknown under the frozen statistics: rarest possible weight, no
       // list to match through, but it still normalizes the length.
       ++unknown;
     }
   }
-  std::sort(known.begin(), known.end());
+  std::sort(rec.tokens.begin(), rec.tokens.end());
   double len_sq = 0.0;
-  rec.tokens.reserve(known.size());
-  rec.tfs.reserve(known.size());
-  for (const auto& [token, tf] : known) {
-    rec.tokens.push_back(token);
-    rec.tfs.push_back(tf);
+  for (TokenId token : rec.tokens) {
     double idf = measure.idf(token);
     len_sq += idf * idf;
   }
@@ -225,6 +217,75 @@ DeltaRecord Analyze(const std::string& text, const SimilaritySelector& main) {
                              rec.sketch.data());
   }
   return rec;
+}
+
+/// The delta part of a snapshot query over the records at positions
+/// [0, count): gathers candidate positions from the query tokens' posting
+/// lists, screens them with the sketch tier when it is on, and scores each
+/// survivor with the main measure's canonical scorer, so a delta record
+/// scores bit-identically to the same record in a main segment. Record pos
+/// has id main-size + pos, above every main id, so its matches append to
+/// `result` in id order. The control is polled per token list and per
+/// candidate batch, as in the kernels; a trip keeps the matches already
+/// scored (exact) and sets `result->termination`.
+void SelectDelta(const DeltaIndex& delta, uint32_t count,
+                 const SimilaritySelector& main, const PreparedQuery& q,
+                 double tau, const SelectOptions& options,
+                 QueryResult* result) {
+  AccessCounters& counters = result->counters;
+  internal::ControlPoller poller(options.control, counters);
+  std::vector<uint32_t> candidates;
+  uint64_t postings = 0;
+  for (TokenId token : q.tokens) {
+    if (poller.ShouldStop()) break;
+    size_t visited = delta.ForEachPosting(
+        token, count,
+        [&candidates](uint32_t pos) { candidates.push_back(pos); });
+    postings += visited;
+    counters.elements_read += visited;
+    counters.elements_total += visited;
+  }
+  // Delta postings are read without a ListCursor, so this pass charges the
+  // cursor-owned postings total itself.
+  static obs::Counter* postings_read =
+      obs::MetricsRegistry::Global().GetCounter("simsel_postings_read_total");
+  if (postings > 0) postings_read->Increment(postings);
+
+  if (poller.termination() == Termination::kCompleted) {
+    // A record whose sketch proves it cannot reach τ at the configured error
+    // bound is pruned before scoring; records appended without a sketch
+    // (main index built sketchless) are always scored.
+    sketch::DeltaScreen screen;
+    if (options.prefilter && main.prefilter() != nullptr) {
+      screen = main.prefilter()->MakeDeltaScreen(q, tau);
+    }
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    const SetId first_id = static_cast<SetId>(main.collection().size());
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      if (c % 64 == 0 && poller.ShouldStop()) break;
+      const uint32_t pos = candidates[c];
+      const DeltaRecord& rec = delta.record(pos);
+      if (screen.active() && !rec.sketch.empty()) {
+        ++counters.hash_probes;
+        if (!screen.Admits(rec.sketch.data(), rec.frozen_length,
+                           rec.tokens.size())) {
+          ++counters.candidate_prunes;
+          continue;
+        }
+      }
+      ++counters.rows_scanned;
+      double score = main.measure().ScoreTokens(
+          q, rec.tokens.data(), rec.tokens.size(), rec.frozen_length);
+      if (score >= tau) {
+        result->matches.push_back(Match{static_cast<SetId>(first_id + pos),
+                                        score});
+      }
+    }
+  }
+  result->termination = poller.termination();
+  counters.results = result->matches.size();
 }
 
 struct DynamicMetrics {
@@ -269,13 +330,16 @@ DynamicSelector::~DynamicSelector() {
 State* DynamicSelector::BuildState(const std::vector<std::string>& texts,
                                    uint64_t base_version) const {
   auto* state = new State();
-  state->main = std::make_shared<SimilaritySelector>(
+  auto main = std::make_shared<SimilaritySelector>(
       SimilaritySelector::Build(texts, build_options_));
   if (disk_mode_) {
-    state->store =
-        std::make_unique<PostingStore>(PostingStore::Build(state->main->index()));
+    // The store belongs to this main segment and is swapped with it, so it
+    // never addresses a stale index; with no pool, no page key can alias
+    // across swapped stores.
+    main->segment_.store =
+        std::make_unique<PostingStore>(PostingStore::Build(main->index()));
   }
-  state->main_size = texts.size();
+  state->main = std::move(main);
   state->base_version = base_version;
   state->delta = std::make_unique<DeltaIndex>(
       state->main->collection().dictionary().size());
@@ -301,7 +365,7 @@ uint64_t DynamicSelector::Snapshot::version() const {
 }
 
 size_t DynamicSelector::Snapshot::size() const {
-  return state_->main_size + delta_count_;
+  return state_->main->collection().size() + delta_count_;
 }
 
 size_t DynamicSelector::Snapshot::delta_size() const { return delta_count_; }
@@ -324,130 +388,24 @@ QueryResult DynamicSelector::Snapshot::Select(
 QueryResult DynamicSelector::Snapshot::SelectPrepared(
     const PreparedQuery& q, double tau, AlgorithmKind kind,
     const SelectOptions& options) const {
-  double clamped = internal::ClampTau(tau);
-  SelectOptions main_options = options;
-  if (state_->store != nullptr) {
-    // Disk mode: the storage binding belongs to this main segment. A
-    // caller-supplied store would address the wrong index after a swap, and
-    // buffer-pool page keys would alias across swapped stores.
-    main_options.posting_store = state_->store.get();
-    main_options.buffer_pool = nullptr;
+  WallTimer timer;
+  const double clamped = internal::ClampTau(tau);
+  const SimilaritySelector& main = *state_->main;
+  // The main part: the main selector's unmetered dispatch, whose
+  // SelectSegment binds a disk-mode segment's store.
+  QueryResult result = main.Dispatch(q, clamped, kind, options);
+  // The delta part runs only after a complete, OK main part: a failed
+  // result's matches are cleared, and a tripped partial must not look
+  // fuller than its termination admits.
+  if (result.complete() && delta_count_ > 0) {
+    dynamic_internal::SelectDelta(*state_->delta, delta_count_, main, q,
+                                  clamped, options, &result);
   }
-  QueryResult result =
-      state_->main->SelectPrepared(q, clamped, kind, main_options);
   result.snapshot_version = version();
-  if (!result.status.ok()) {
-    // Failed main query: matches are already cleared (FailResult); scanning
-    // the delta would report matches for a result whose status says it
-    // cannot be trusted.
-    result.delta_covered = (delta_count_ == 0);
-    return result;
-  }
-  if (delta_count_ == 0) return result;
-  if (result.termination != Termination::kCompleted) {
-    // Tripped before the delta: the partial is sound, but the delta was not
-    // covered at all — record that instead of spending the exhausted
-    // budget/deadline on it.
-    result.delta_covered = false;
-    return result;
-  }
-
-  // Delta pass through the per-token index: gather candidate positions from
-  // the query tokens' posting lists, then score each candidate exactly with
-  // the canonical ascending-token two-pointer walk (bit-identical to
-  // IdfMeasure::Score against a main segment). The control is polled per
-  // token list and per candidate batch, like every other algorithm; a trip
-  // keeps the already-scored candidates (their scores are exact) and marks
-  // the delta uncovered.
-  internal::ControlPoller poller(options.control, result.counters);
-  const DeltaIndex& delta = *state_->delta;
-  uint64_t delta_postings = 0;
-  uint64_t delta_rows = 0;
-  uint64_t delta_matches = 0;
-  bool tripped = false;
-  std::vector<uint32_t> candidates;
-  for (size_t i = 0; i < q.tokens.size(); ++i) {
-    if (poller.ShouldStop()) {
-      tripped = true;
-      break;
-    }
-    size_t visited = delta.ForEachPosting(
-        q.tokens[i], delta_count_,
-        [&candidates](uint32_t pos) { candidates.push_back(pos); });
-    delta_postings += visited;
-    result.counters.elements_read += visited;
-    result.counters.elements_total += visited;
-  }
-  // Sketch screen for the delta records (the prefilter tier's delta-side
-  // arm): a record that provably cannot reach τ at the configured error
-  // bound is pruned before the exact two-pointer walk. Records appended
-  // without a sketch (main index built sketchless) are always verified.
-  sketch::DeltaScreen screen;
-  if (options.prefilter && state_->main->prefilter() != nullptr) {
-    screen = state_->main->prefilter()->MakeDeltaScreen(q, clamped);
-  }
-  uint64_t delta_probes = 0;
-  uint64_t delta_prunes = 0;
-  if (!tripped) {
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      if (c % 64 == 0 && poller.ShouldStop()) {
-        tripped = true;
-        break;
-      }
-      uint32_t pos = candidates[c];
-      const DeltaRecord& rec = delta.record(pos);
-      if (screen.active() && !rec.sketch.empty()) {
-        ++result.counters.hash_probes;
-        ++delta_probes;
-        if (!screen.Admits(rec.sketch.data(), rec.frozen_length,
-                           rec.tokens.size())) {
-          ++result.counters.candidate_prunes;
-          ++delta_prunes;
-          continue;
-        }
-      }
-      ++result.counters.rows_scanned;
-      ++delta_rows;
-      double sum = 0.0;
-      size_t i = 0, j = 0;
-      while (i < q.tokens.size() && j < rec.tokens.size()) {
-        if (q.tokens[i] < rec.tokens[j]) {
-          ++i;
-        } else if (rec.tokens[j] < q.tokens[i]) {
-          ++j;
-        } else {
-          sum += q.weights[i];
-          ++i;
-          ++j;
-        }
-      }
-      double denom = static_cast<double>(rec.frozen_length) * q.length;
-      double score = denom > 0.0 ? sum / denom : 0.0;
-      if (score >= clamped) {
-        result.matches.push_back(
-            Match{static_cast<SetId>(state_->main_size + pos), score});
-        ++delta_matches;
-      }
-    }
-  }
-  if (tripped) {
-    result.termination = poller.termination();
-    result.delta_covered = false;
-  }
-  result.counters.results = result.matches.size();
-  internal::SortMatches(&result.matches);
-  // The main segment's SelectPrepared already flushed its own work to the
-  // process-wide metrics; flush only the delta-scan increment.
-  AccessCounters delta_only;
-  delta_only.elements_read = delta_postings;
-  delta_only.rows_scanned = delta_rows;
-  delta_only.hash_probes = delta_probes;
-  delta_only.candidate_prunes = delta_prunes;
-  delta_only.results = delta_matches;
-  internal::RecordDeltaScanMetrics(delta_only);
+  result.trace = options.trace;
+  internal::RecordQueryMetrics(kind, result,
+                               static_cast<uint64_t>(timer.ElapsedMicros()),
+                               options.trace);
   return result;
 }
 
@@ -458,7 +416,7 @@ SetId DynamicSelector::AddRecord(std::string text) {
   DeltaRecord rec = dynamic_internal::Analyze(text, *state->main);
   rec.text = std::move(text);
   uint32_t pos = state->delta->Append(std::move(rec));
-  SetId id = static_cast<SetId>(state->main_size + pos);
+  SetId id = static_cast<SetId>(state->main->collection().size() + pos);
   // Release *after* the delta publish: an observer that reads the new
   // version and then queries is guaranteed to see the record.
   version_.fetch_add(1, std::memory_order_release);
@@ -473,11 +431,10 @@ size_t DynamicSelector::delta_size() const { return snapshot().delta_size(); }
 std::string DynamicSelector::text(SetId id) const {
   Snapshot snap = snapshot();
   SIMSEL_CHECK(id < snap.size());
-  if (id < snap.state_->main_size) {
-    return snap.state_->main->collection().text(id);
-  }
-  return snap.state_->delta->record(
-      static_cast<uint32_t>(id - snap.state_->main_size)).text;
+  const Collection& main = snap.state_->main->collection();
+  if (id < main.size()) return main.text(id);
+  return snap.state_->delta->record(static_cast<uint32_t>(id - main.size()))
+      .text;
 }
 
 QueryResult DynamicSelector::Select(std::string_view query, double tau,
@@ -541,9 +498,9 @@ void DynamicSelector::DoRebuild() {
     std::lock_guard<std::mutex> lock(append_mu_);
     const State* state = state_.load(std::memory_order_relaxed);
     fold_count = state->delta->count();
-    texts.reserve(state->main_size + fold_count);
     const Collection& collection = state->main->collection();
-    for (SetId i = 0; i < state->main_size; ++i) {
+    texts.reserve(collection.size() + fold_count);
+    for (SetId i = 0; i < collection.size(); ++i) {
       texts.push_back(collection.text(i));
     }
     for (uint32_t pos = 0; pos < fold_count; ++pos) {

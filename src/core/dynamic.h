@@ -68,10 +68,11 @@ class DynamicSelector {
   struct Options {
     BuildOptions build;
     /// Serve the main segment's postings from a disk-resident PostingStore
-    /// (rebuilt per segment and swapped with it, so stores never address a
-    /// stale index). In this mode SelectOptions::posting_store and
-    /// buffer_pool are ignored: the binding is per main segment and owned
-    /// here — pool page keys would alias across swapped stores.
+    /// owned by that segment (rebuilt per segment and swapped with it, so a
+    /// store never addresses a stale index). In this mode
+    /// SelectOptions::posting_store and buffer_pool are ignored: SelectSegment
+    /// binds the segment's store with no pool, because pool page keys would
+    /// alias across swapped stores.
     bool disk_mode = false;
   };
 
@@ -145,16 +146,19 @@ class DynamicSelector {
   /// — a reference could dangle once a Rebuild retires the segment.
   std::string text(SetId id) const;
 
-  /// Selection over both segments with frozen statistics. The main segment
-  /// uses `kind`; the delta is resolved through its per-token inverted
-  /// index (candidates charged to rows_scanned, postings to
-  /// elements_read). `options.control` bounds the delta pass exactly like
-  /// the main algorithms: the poller is checked per token list and per
-  /// candidate batch, and a trip returns a sound partial result with
-  /// QueryResult::termination set and delta_covered = false. A failed or
-  /// tripped main-segment query short-circuits the delta entirely (a
-  /// failed result's matches are already cleared; appending delta matches
-  /// would disguise a partial as fuller than its termination admits).
+  /// Selection over both segments with frozen statistics, in two parts
+  /// and one metrics flush. The main part runs `kind` through the main
+  /// selector's segment; the delta part is resolved through its per-token
+  /// inverted index (candidates charged to rows_scanned, postings to
+  /// elements_read) and scored by the same IdfMeasure. The delta part runs
+  /// only after a complete, OK main part (a failed result's matches are
+  /// already cleared; appending delta matches would disguise a partial as
+  /// fuller than its termination admits). `options.control` bounds the
+  /// delta part exactly like the main algorithms: the poller is checked
+  /// per token list and per candidate batch, and a trip returns a sound
+  /// partial result with QueryResult::termination set. The query's
+  /// latency, work counters and termination are recorded once
+  /// (internal::RecordQueryMetrics), delta part included.
   QueryResult Select(std::string_view query, double tau,
                      AlgorithmKind kind = AlgorithmKind::kSf,
                      const SelectOptions& options = SelectOptions()) const;

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "core/internal.h"
 #include "core/sql_baseline.h"
 #include "core/topk.h"
 #include "obs/flight_recorder.h"
@@ -113,17 +114,6 @@ void RecordQueryMetrics(AlgorithmKind kind, const QueryResult& result,
   completion.counters = &result.counters;
   completion.trace = trace;
   obs::FlightRecorder::Global().OnQueryComplete(completion);
-}
-
-void RecordDeltaScanMetrics(const AccessCounters& delta_only) {
-  FlushQueryCounters(delta_only);
-  // Delta postings are decoded without a ListCursor, so they are charged to
-  // the cursor-owned postings total here instead.
-  static obs::Counter* postings_read = obs::MetricsRegistry::Global()
-      .GetCounter("simsel_postings_read_total");
-  if (delta_only.elements_read) {
-    postings_read->Increment(delta_only.elements_read);
-  }
 }
 
 }  // namespace internal
@@ -242,8 +232,15 @@ QueryResult SimilaritySelector::Dispatch(const PreparedQuery& q, double tau,
                                          const SelectOptions& options) const {
   obs::TraceScope span(options.trace, AlgorithmKindName(kind));
   if (kind == AlgorithmKind::kSql) {
-    SIMSEL_CHECK_MSG(gram_table_ != nullptr,
-                     "SQL baseline requires build_sql_baseline");
+    if (gram_table_ == nullptr) {
+      QueryResult out;
+      internal::FailResult(
+          Status::InvalidArgument(
+              "AlgorithmKind::kSql needs a selector built with "
+              "build_sql_baseline"),
+          &out);
+      return out;
+    }
     return SqlBaselineSelect(*gram_table_, *measure_, q, tau, options);
   }
   return SelectSegment(segment_, *measure_, *collection_, q, tau, kind,

@@ -30,14 +30,6 @@ namespace internal {
 void RecordQueryMetrics(AlgorithmKind kind, const QueryResult& result,
                         uint64_t latency_usec,
                         const obs::QueryTrace* trace = nullptr);
-
-/// Flushes the *delta-scan increment* of a DynamicSelector query into the
-/// same process-wide counters. The main-segment execution already went
-/// through RecordQueryMetrics inside SelectPrepared; the delta pass happens
-/// after that flush, so its postings (elements_read), verified candidates
-/// (rows_scanned) and extra matches would otherwise vanish from the
-/// process totals. Pass only the delta-side counts.
-void RecordDeltaScanMetrics(const AccessCounters& delta_only);
 }  // namespace internal
 
 /// Everything needed to stand up a similarity-selection service over a
@@ -136,16 +128,22 @@ class SimilaritySelector {
  private:
   SimilaritySelector() = default;
 
+  // A dynamic snapshot runs Dispatch for its main part and flushes the
+  // metrics once for main and delta; in disk mode it gives segment_ a store.
+  friend class DynamicSelector;
+
   /// kSql over the relational baseline, every other kind through
-  /// SelectSegment; wrapped by SelectPrepared's timing/metrics.
+  /// SelectSegment; wrapped by SelectPrepared's timing/metrics. kSql on a
+  /// selector built without the baseline fails with InvalidArgument.
   QueryResult Dispatch(const PreparedQuery& q, double tau, AlgorithmKind kind,
                        const SelectOptions& options) const;
 
   Tokenizer tokenizer_;
   std::unique_ptr<Collection> collection_;
   std::unique_ptr<IdfMeasure> measure_;
-  // [0, N) with no store of its own: disk mode comes from the caller's
-  // SelectOptions::posting_store.
+  // [0, N). No store of its own (disk mode comes from the caller's
+  // SelectOptions::posting_store) unless it is a disk-mode DynamicSelector's
+  // main segment, whose store SelectSegment binds.
   Segment segment_;
   std::unique_ptr<GramTable> gram_table_;
 };

@@ -110,8 +110,11 @@ QueryResult TaEngineSelect(const InvertedIndex& index,
         if (hash == nullptr) continue;
         ++counters.hash_probes;
         if (options.buffer_pool != nullptr) {
-          bool hit = options.buffer_pool->Touch(
-              reinterpret_cast<uint64_t>(hash->ProbePageId(id)));
+          // Hash buckets live in file ids [num_tokens, 2·num_tokens), past
+          // every posting list's (list t is file t).
+          bool hit = options.buffer_pool->Touch(BufferPool::PageKey(
+              static_cast<uint32_t>(index.num_tokens() + q.tokens[j]),
+              hash->ProbePageId(id)));
           if (hit) {
             ++counters.pool_hits;
           } else {

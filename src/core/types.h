@@ -107,19 +107,14 @@ struct QueryResult {
   /// The per-phase trace this query was run with (== SelectOptions::trace),
   /// filled by the time the result is returned; null when tracing was off.
   const obs::QueryTrace* trace = nullptr;
-  /// Dynamic-index provenance (DynamicSelector only; 0 otherwise): the
-  /// selector version this query's snapshot corresponds to. The result is
-  /// byte-identical to a serial query against the collection frozen at
-  /// exactly this version, and a cached copy stamped with it is valid while
-  /// DynamicSelector::version() still returns it.
+  /// The version of the collection this answer was computed against, the
+  /// epoch a cached copy is keyed on: a DynamicSelector snapshot's
+  /// version() (the result is byte-identical to a serial query against the
+  /// collection frozen at exactly this version, and a cached copy stays
+  /// valid while DynamicSelector::version() still returns it), the constant
+  /// serve::ShardedSelector::kVersion for a sharded answer, 0 from a plain
+  /// SimilaritySelector.
   uint64_t snapshot_version = 0;
-  /// False when the delta segment of a DynamicSelector was not (fully)
-  /// scanned: the main-segment query failed or tripped, or the control
-  /// tripped inside the delta scan itself. The reported matches are then
-  /// sound but may omit delta records even beyond what `termination`
-  /// implies for the main segment. Always true for non-dynamic selectors
-  /// (there is no delta) and for complete dynamic results.
-  bool delta_covered = true;
 
   /// True when this is the full, trustworthy answer.
   bool complete() const {

@@ -55,8 +55,8 @@ class DynamicServing {
   SetId AddRecord(std::string text);
 
   /// Cache-fronted selection over the current snapshot. Same contract as
-  /// DynamicSelector::Select; only complete results with the delta fully
-  /// covered are cached.
+  /// DynamicSelector::Select; only complete results (main and delta part)
+  /// are cached.
   QueryResult Select(std::string_view query, double tau,
                      AlgorithmKind kind = AlgorithmKind::kSf,
                      const SelectOptions& options = SelectOptions()) const;

@@ -183,8 +183,8 @@ class ResultCache {
 /// The cache-fronted select sequence of the serving front doors
 /// (ShardedSelector, DynamicServing), written once: look the query up at
 /// `epoch` (null `cache`: skip), run `execute()` on a miss, insert the
-/// answer if it is complete and covers the whole collection
-/// (QueryResult::delta_covered), then stamp `epoch` as the result's
+/// answer if it is complete (a dynamic answer is complete only when its
+/// delta part ran to the end), then stamp `epoch` as the result's
 /// snapshot_version and point its trace at the caller's `options.trace`.
 /// `clamped_tau` must already be clamped (internal::ClampTau): the key
 /// fingerprints it. `lookup_trace` receives the cache_lookup span.
@@ -200,7 +200,7 @@ QueryResult CachedSelect(ResultCache* cache, const PreparedQuery& q,
       !cache->LookupQuery(q, clamped_tau, kind, options, disk_mode,
                           measure_name, epoch, lookup_trace, &key, &out)) {
     out = execute();
-    if (cache != nullptr && out.complete() && out.delta_covered) {
+    if (cache != nullptr && out.complete()) {
       cache->Insert(key, epoch, out.matches, out.counters);
     }
   }

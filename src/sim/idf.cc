@@ -62,6 +62,11 @@ PreparedQuery IdfMeasure::PrepareQuery(
 
 double IdfMeasure::Score(const PreparedQuery& q, SetId s) const {
   const SetRecord& set = collection_.set(s);
+  return ScoreTokens(q, set.tokens.data(), set.tokens.size(), set_len_[s]);
+}
+
+double IdfMeasure::ScoreTokens(const PreparedQuery& q, const TokenId* tokens,
+                               size_t n, float set_len) const {
   // SIMD intersection emits the matching query positions in ascending order;
   // the weight sum then runs scalar over those positions in that same
   // canonical (ascending query-index) order, so the accumulation is
@@ -69,11 +74,10 @@ double IdfMeasure::Score(const PreparedQuery& q, SetId s) const {
   thread_local std::vector<uint32_t> pos;
   pos.resize(q.tokens.size());
   const size_t matches = simd::Kernels().intersect_pos_u32(
-      q.tokens.data(), q.tokens.size(), set.tokens.data(), set.tokens.size(),
-      pos.data());
+      q.tokens.data(), q.tokens.size(), tokens, n, pos.data());
   double sum = 0.0;
   for (size_t i = 0; i < matches; ++i) sum += q.weights[pos[i]];
-  return ScoreFromSum(q, sum, set_len_[s]);
+  return ScoreFromSum(q, sum, set_len);
 }
 
 double IdfMeasure::ScoreFromWords(const PreparedQuery& q,

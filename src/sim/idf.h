@@ -33,6 +33,14 @@ class IdfMeasure : public SimilarityMeasure {
       const std::vector<TokenCount>& tokens) const override;
   double Score(const PreparedQuery& q, SetId s) const override;
 
+  /// Canonical score of a set given its tokens (`n` distinct ids in
+  /// ascending order) and its length: the weights of the common tokens
+  /// added in ascending query-token order, then divided through
+  /// ScoreFromSum. Score(q, s) is this over s's tokens; a DynamicSelector
+  /// delta record, which has no SetRecord, is scored through it too.
+  double ScoreTokens(const PreparedQuery& q, const TokenId* tokens, size_t n,
+                     float set_len) const;
+
   double idf(TokenId t) const { return idf_.idf[t]; }
   double default_idf() const { return idf_.default_idf; }
 
@@ -53,8 +61,9 @@ class IdfMeasure : public SimilarityMeasure {
 
   /// Canonical score given `sum`, the common tokens' weights added in
   /// ascending query-token order starting from 0.0: sum / (len(s)·len(q)).
-  /// The one place the normalization is written down; Score, ScoreFromBits
-  /// and the sort-by-id merge's accumulators all divide through it.
+  /// The one place the normalization is written down; ScoreTokens,
+  /// ScoreFromWords and the sort-by-id merge's accumulators all divide
+  /// through it.
   double ScoreFromSum(const PreparedQuery& q, double sum,
                       float set_len) const {
     double denom = static_cast<double>(set_len) * q.length;

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "core/dynamic.h"
+#include "obs/metrics_registry.h"
 #include "storage/fault_injector.h"
 #include "storage/posting_store.h"
 #include "test_util.h"
@@ -187,7 +188,7 @@ TEST(DynamicSelectorTest, BudgetTripsInsideDeltaScan) {
   for (int i = 0; i < 100; ++i) dyn.AddRecord(query);
   QueryResult full = dyn.Select(query, 0.8);
   ASSERT_TRUE(full.complete());
-  EXPECT_TRUE(full.delta_covered);
+  EXPECT_EQ(full.termination, Termination::kCompleted);
 
   // A budget that covers the main segment but not the delta postings: the
   // poller (PR 8 — the delta scan used to ignore SelectOptions::control
@@ -197,7 +198,6 @@ TEST(DynamicSelectorTest, BudgetTripsInsideDeltaScan) {
   QueryResult tripped = dyn.Select(query, 0.8, AlgorithmKind::kSf, options);
   ASSERT_TRUE(tripped.status.ok());
   EXPECT_EQ(tripped.termination, Termination::kBudget);
-  EXPECT_FALSE(tripped.delta_covered);
   EXPECT_FALSE(tripped.complete());
   // Sound partial: every reported match appears in the complete answer
   // with a bit-identical score.
@@ -213,6 +213,63 @@ TEST(DynamicSelectorTest, BudgetTripsInsideDeltaScan) {
   }
 }
 
+TEST(DynamicSelectorTest, OneMetricsFlushPerQueryCountsDeltaTrips) {
+  DynamicSelector dyn(BaseRecords());
+  const std::string query = dyn.text(0);
+  QueryResult main_only = dyn.Select(query, 0.8);
+  ASSERT_TRUE(main_only.complete());
+  uint64_t main_work =
+      main_only.counters.elements_read + main_only.counters.rows_scanned;
+  for (int i = 0; i < 100; ++i) dyn.AddRecord(query);
+  SelectOptions options;
+  options.control.max_elements_read = main_work + 10;
+
+  // The main and delta parts of one query are one executed query: one
+  // count, one latency sample, and a trip inside the delta part is the
+  // query's termination.
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  const std::string sf = obs::LabelPair("algo", "SF");
+  obs::Counter* budget_trips = reg.GetCounter(
+      "simsel_query_terminations_total", obs::LabelPair("reason", "budget"));
+  obs::Counter* queries = reg.GetCounter("simsel_queries_total", sf);
+  obs::Histogram* latency = reg.GetHistogram("simsel_query_latency_usec", sf);
+  obs::Counter* rows = reg.GetCounter("simsel_rows_scanned_total");
+  obs::Counter* postings = reg.GetCounter("simsel_postings_read_total");
+  const uint64_t trips0 = budget_trips->Value();
+  const uint64_t queries0 = queries->Value();
+  const uint64_t latency0 = latency->Count();
+  const uint64_t rows0 = rows->Value();
+  const uint64_t postings0 = postings->Value();
+
+  QueryResult tripped = dyn.Select(query, 0.8, AlgorithmKind::kSf, options);
+  ASSERT_TRUE(tripped.status.ok());
+  ASSERT_EQ(tripped.termination, Termination::kBudget);
+  // The trip happened inside the delta part: it read delta postings.
+  ASSERT_GT(tripped.counters.elements_read, main_only.counters.elements_read);
+  EXPECT_EQ(budget_trips->Value() - trips0, 1u);
+  EXPECT_EQ(queries->Value() - queries0, 1u);
+  EXPECT_EQ(latency->Count() - latency0, 1u);
+  EXPECT_EQ(rows->Value() - rows0, tripped.counters.rows_scanned);
+  EXPECT_EQ(postings->Value() - postings0, tripped.counters.elements_read);
+}
+
+TEST(DynamicSelectorTest, SqlWithoutBaselineIsInvalidArgument) {
+  // Neither selector was built with build_sql_baseline: kSql is a bad
+  // request, not a crash.
+  SimilaritySelector plain = SimilaritySelector::Build(BaseRecords());
+  QueryResult a = plain.Select(plain.collection().text(0), 0.8,
+                               AlgorithmKind::kSql);
+  EXPECT_EQ(a.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(a.matches.empty());
+
+  DynamicSelector dyn(BaseRecords());
+  dyn.AddRecord(dyn.text(0));  // a delta record that would match
+  QueryResult b = dyn.Select(dyn.text(0), 0.8, AlgorithmKind::kSql);
+  EXPECT_EQ(b.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(b.matches.empty());
+  EXPECT_EQ(b.counters.results, 0u);
+}
+
 TEST(DynamicSelectorTest, TrippedMainSkipsDelta) {
   DynamicSelector dyn(BaseRecords());
   const std::string query = dyn.text(0);
@@ -223,9 +280,8 @@ TEST(DynamicSelectorTest, TrippedMainSkipsDelta) {
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.termination, Termination::kDeadline);
   // The delta holds a perfect match, but a tripped main must not have its
-  // partial padded with delta matches (PR 8 fix): the miss is recorded in
-  // delta_covered instead.
-  EXPECT_FALSE(r.delta_covered);
+  // partial padded with delta matches (PR 8 fix): the answer stays partial.
+  EXPECT_FALSE(r.complete());
   for (const Match& m : r.matches) EXPECT_NE(m.id, delta_id);
 }
 
@@ -253,7 +309,7 @@ TEST(DynamicSelectorTest, FailedMainShortCircuitsDelta) {
   // making it look fuller than its status admits.
   EXPECT_TRUE(r.matches.empty());
   EXPECT_EQ(r.counters.results, 0u);
-  EXPECT_FALSE(r.delta_covered);
+  EXPECT_FALSE(r.complete());
 }
 
 TEST(DynamicSelectorTest, SnapshotIsolation) {

@@ -108,6 +108,22 @@ TEST(ExtendibleHashTest, BucketCapacityFromPageSize) {
   EXPECT_EQ(small.bucket_capacity(), (128u - 8u) / 12u);
 }
 
+TEST(ExtendibleHashTest, ProbePageIdsAgreeAcrossEqualHashes) {
+  // iTA keys its buffer-pool probes by ProbePageId, so two hashes built
+  // from the same inserts must name every bucket page alike — a heap
+  // address would make the pool's misses change from run to run.
+  ExtendibleHash a(256);
+  ExtendibleHash b(256);
+  for (uint64_t k = 0; k < 3000; ++k) {
+    a.Insert(k * 7919, static_cast<float>(k));
+    b.Insert(k * 7919, static_cast<float>(k));
+  }
+  ASSERT_GT(a.num_buckets(), 1u);
+  for (uint64_t k = 0; k < 6000; ++k) {
+    EXPECT_EQ(a.ProbePageId(k * 7919), b.ProbePageId(k * 7919)) << k;
+  }
+}
+
 TEST(ExtendibleHashTest, EraseThenReinsert) {
   ExtendibleHash hash(256);
   for (uint64_t i = 0; i < 1000; ++i) hash.Insert(i, 1.0f);
