@@ -23,26 +23,23 @@
 //       Self-join: lists duplicate clusters among the records.
 //
 //   simsel_cli serve <records.txt> ["<text>"] [--shards=N] [--cache-mb=M]
-//       Scatter-gather serving: partitions the records into N shards, runs
-//       each query across them on a thread pool and caches complete answers
-//       in a versioned LRU result cache (see docs/ARCHITECTURE.md). One
-//       query when <text> is given, otherwise a repl.
-//
-//   simsel_cli serve <records.txt> --dynamic [--cache-mb=M]
 //              [--rebuild-every=N]
-//       Writable serving: one DynamicSelector (main + delta segments)
-//       behind the versioned result cache. Repl lines starting with `+`
-//       insert a record, `!rebuild` folds the delta online; both proceed
-//       concurrently with queries and invalidate the cache through the
-//       selector version. --rebuild-every=N folds automatically in the
-//       background once the delta holds N records.
+//       Serving: one DynamicServing over the records — a main part cut
+//       into N segments, each query fanned out across them on a thread
+//       pool, plus a delta of inserted records — behind a versioned LRU
+//       result cache (see docs/ARCHITECTURE.md). One query when <text> is
+//       given, otherwise a repl: lines starting with `+` insert a record,
+//       `!rebuild` folds the delta online; both proceed concurrently with
+//       queries and invalidate the cache through the selector version.
+//       --rebuild-every=N folds automatically in the background once the
+//       delta holds N records.
 //
 //   simsel_cli serve <records.txt> --port=N [--listen=ADDR] [--max-queue=N]
-//       Network serving: the same sharded (or --dynamic) back end behind a
-//       TCP line-protocol front end (src/serve/server.h) with queue-depth
-//       admission control, per-request deadline SLOs (--deadline-ms) and
-//       element budgets (--max-elements). SIGTERM/ctrl-c drains gracefully:
-//       in-flight requests finish and flush before the process exits.
+//       Network serving: the same back end behind a TCP line-protocol
+//       front end (src/serve/server.h) with queue-depth admission control,
+//       per-request deadline SLOs (--deadline-ms) and element budgets
+//       (--max-elements). SIGTERM/ctrl-c drains gracefully: in-flight
+//       requests finish and flush before the process exits.
 //
 //   simsel_cli --explain "<text>" [--tau 0.8] [--words=N] [--stats]
 //       Builds a self-contained demo environment, runs the query with SF,
@@ -91,7 +88,6 @@
 #include "obs/trace_export.h"
 #include "serve/dynamic_serving.h"
 #include "serve/server.h"
-#include "serve/sharded_selector.h"
 
 namespace {
 
@@ -110,13 +106,13 @@ constexpr char kHelp[] =
     "  repl  <records.txt> <index.simsel>        one query per stdin line\n"
     "  stats <records.txt> <index.simsel>        index size breakdown\n"
     "  join  <records.txt> <index.simsel>        self-join duplicate clusters\n"
-    "  serve <records.txt> [<text>]              sharded scatter-gather\n"
+    "  serve <records.txt> [<text>]              segmented, writable\n"
     "                                            serving with a result cache;\n"
     "                                            runs one query when <text>\n"
-    "                                            is given, else a repl; with\n"
-    "                                            --dynamic the repl also\n"
-    "                                            accepts `+<text>` inserts\n"
-    "                                            and a `!rebuild` command\n"
+    "                                            is given, else a repl that\n"
+    "                                            also accepts `+<text>`\n"
+    "                                            inserts and a `!rebuild`\n"
+    "                                            command\n"
     "  --explain \"<text>\"                        self-contained demo: per-\n"
     "                                            phase trace for SF/iNRA/\n"
     "                                            Hybrid on a synthetic corpus\n"
@@ -131,16 +127,15 @@ constexpr char kHelp[] =
     "  --deadline-ms=N   wall-clock bound; a tripped query returns its exact\n"
     "                    partial result with the termination reason\n"
     "  --max-elements=N  posting-read budget; partial results as above\n"
-    "  --shards=N        (serve) number of index shards, default 4\n"
+    "  --shards=N        (serve) number of index segments of the main\n"
+    "                    part, default 4; inserts (`+<text>` repl lines,\n"
+    "                    `I` requests) and online rebuilds proceed\n"
+    "                    concurrently with queries\n"
     "  --cache-mb=M      (serve) result cache capacity in MiB; 0 disables,\n"
     "                    default 64\n"
-    "  --dynamic         (serve) writable single-index serving: a main+delta\n"
-    "                    DynamicSelector behind the result cache; inserts\n"
-    "                    (`+<text>` repl lines) and online rebuilds proceed\n"
-    "                    concurrently with queries\n"
-    "  --rebuild-every=N (serve --dynamic) fold the delta into the main\n"
-    "                    segment in the background once it holds N records;\n"
-    "                    0 (default) rebuilds only on the `!rebuild` command\n"
+    "  --rebuild-every=N (serve) fold the delta into the main part in the\n"
+    "                    background once it holds N records; 0 (default)\n"
+    "                    rebuilds only on the `!rebuild` command\n"
     "  --port=N          (serve) serve the line protocol on TCP port N\n"
     "                    instead of the stdin repl (0 picks an ephemeral\n"
     "                    port, printed on startup); SIGTERM or ctrl-c drains\n"
@@ -254,8 +249,9 @@ Result<SimilaritySelector> LoadSelector(const std::string& records_path,
   return SimilaritySelector::BuildWithSavedIndex(corpus->records, index_path);
 }
 
-void PrintMatches(const Collection& collection, const QueryResult& r,
-                  double elapsed_ms) {
+/// Prints a result; `text_of(id)` returns the record text of a match.
+template <class TextOf>
+void PrintMatches(const QueryResult& r, double elapsed_ms, TextOf text_of) {
   std::printf("%zu matches in %.2f ms (read %llu/%llu postings)\n",
               r.matches.size(), elapsed_ms,
               (unsigned long long)r.counters.elements_read,
@@ -273,7 +269,7 @@ void PrintMatches(const Collection& collection, const QueryResult& r,
       std::printf("  ... and %zu more\n", r.matches.size() - shown + 1);
       break;
     }
-    std::printf("  [%u] %-40s %.3f\n", m.id, collection.text(m.id).c_str(),
+    std::printf("  [%u] %-40s %.3f\n", m.id, text_of(m.id).c_str(),
                 m.score);
   }
 }
@@ -296,7 +292,8 @@ int RunQuery(const SimilaritySelector& sel, const std::string& text,
   WallTimer timer;
   QueryResult r = (k > 0) ? sel.SelectTopK(text, k, options)
                           : sel.Select(text, tau, kind, options);
-  PrintMatches(sel.collection(), r, timer.ElapsedMillis());
+  PrintMatches(r, timer.ElapsedMillis(),
+               [&](SetId id) { return sel.collection().text(id); });
   if (explain) {
     std::printf("%s", trace.ToString().c_str());
     std::printf("counters: %s\n", r.counters.ToString().c_str());
@@ -373,42 +370,185 @@ int RunStats(int argc, char** argv) {
   return 0;
 }
 
-/// `serve <records.txt> --dynamic`: the writable serving front end. One
-/// DynamicSelector (main + delta) behind the versioned result cache; repl
-/// lines starting with `+` insert, `!rebuild` folds the delta online. Every
-/// insert/rebuild bumps the selector version, which invalidates all cached
-/// answers in O(1) — the cache line after each query makes that visible.
-int RunServeDynamic(const Corpus& corpus, int argc, char** argv, double tau,
-                    AlgorithmKind kind) {
-  size_t cache_mb, rebuild_every, deadline_ms, max_elements;
-  if (!StrictCount(argc, argv, "cache-mb", 64, 0, 1u << 16, &cache_mb) ||
+/// Drain target of the SIGTERM/SIGINT handler. RequestStop is one
+/// async-signal-safe eventfd write, so calling it from the handler is legal.
+serve::Server* g_signal_server = nullptr;
+
+void OnStopSignal(int) {
+  if (g_signal_server != nullptr) g_signal_server->RequestStop();
+}
+
+/// `serve <records.txt> --port=N`: the network front end over `serving`,
+/// behind the TCP line protocol of serve/server.h: queue-depth admission
+/// control (--max-queue), a per-request deadline SLO (--deadline-ms,
+/// anchored at admission), a default per-tenant element budget
+/// (--max-elements), and graceful drain on SIGTERM/SIGINT — stop accepting,
+/// finish and flush every admitted request, then exit with a reconciliation
+/// summary.
+int RunServeNetwork(serve::DynamicServing* serving, int argc, char** argv,
+                    const std::string& listen, uint16_t port,
+                    size_t deadline_ms, size_t max_elements) {
+  size_t max_queue;
+  if (!StrictCount(argc, argv, "max-queue", 64, 0, 1u << 20, &max_queue)) {
+    return 2;
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  serve::ServerOptions so;
+  so.listen_addr = listen;
+  so.port = port;
+  so.num_workers = std::max(2u, hw == 0 ? 2u : hw);
+  so.max_queue = max_queue;
+  so.deadline_ms = deadline_ms;
+  so.default_element_budget = max_elements;
+  serve::Server server(serving, so);
+  Status st = server.Start();
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 1;
+  }
+  g_signal_server = &server;
+  std::signal(SIGTERM, OnStopSignal);
+  std::signal(SIGINT, OnStopSignal);
+  // The bound port goes to stdout (scripts parse it; --port=0 is ephemeral).
+  std::printf("listening on %s:%u (%zu records over %zu segments, "
+              "workers=%zu max-queue=%zu deadline-ms=%zu)\n",
+              listen.c_str(), server.port(), serving->selector().size(),
+              serving->selector().snapshot().main().num_segments(),
+              so.num_workers, max_queue, deadline_ms);
+  std::fflush(stdout);
+  server.Join();
+  g_signal_server = nullptr;
+  std::printf("drained: ok=%llu partial=%llu shed=%llu err=%llu inserts=%llu "
+              "in-flight=%zu\n",
+              (unsigned long long)server.ok_count(),
+              (unsigned long long)server.partial_count(),
+              (unsigned long long)server.shed_count(),
+              (unsigned long long)server.error_count(),
+              (unsigned long long)server.insert_count(),
+              server.queue_depth());
+  return server.queue_depth() == 0 ? 0 : 1;
+}
+
+/// `serve <records.txt> [<text>]`: the serving front end. Builds one
+/// DynamicServing over the records — a main part of --shards segments
+/// (global statistics, per-segment indexes) plus a delta for inserts —
+/// with a thread pool sized to the machine for the segment fan-out and
+/// rebuilds, and a versioned result cache in front. With --port it serves
+/// the line protocol; otherwise it answers one query (when <text> is given)
+/// or runs a repl where `+<text>` inserts, `!rebuild` folds the delta
+/// online and any other line queries. The cache line after every query
+/// shows the effect of repeats and of the version bump each insert makes.
+int RunServe(int argc, char** argv) {
+  if (argc < 3) return Usage();
+  Result<Corpus> corpus = LoadCorpusFromFile(argv[2]);
+  if (!corpus.ok()) {
+    std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
+    return 1;
+  }
+  double tau;
+  if (!ParseTau(argc, argv, 0.75, &tau)) return Usage();
+  AlgorithmKind kind;
+  if (!ParseAlgo(argc, argv, &kind)) return 2;
+  // --port switches to the network front end (tau/algo then arrive per
+  // request over the wire). The UINT64_MAX fallback distinguishes "absent"
+  // from an explicit --port=0 (ephemeral).
+  size_t port_flag, shards, cache_mb, rebuild_every, deadline_ms,
+      max_elements, slow_usec, stats_every;
+  if (!StrictCount(argc, argv, "port", UINT64_MAX, 0, 65535, &port_flag) ||
+      !StrictCount(argc, argv, "shards", 4, 1, 256, &shards) ||
+      !StrictCount(argc, argv, "cache-mb", 64, 0, 1u << 16, &cache_mb) ||
       !StrictCount(argc, argv, "rebuild-every", 0, 0, UINT32_MAX,
                    &rebuild_every) ||
       !StrictCount(argc, argv, "deadline-ms", 0, 0, 86400000, &deadline_ms) ||
       !StrictCount(argc, argv, "max-elements", 0, 0, UINT64_MAX,
-                   &max_elements)) {
+                   &max_elements) ||
+      !StrictCount(argc, argv, "slow-query-usec", 0, 0, UINT64_MAX,
+                   &slow_usec) ||
+      !StrictCount(argc, argv, "stats-every", 0, 0, 86400, &stats_every)) {
     return 2;
   }
+  const bool network = port_flag != static_cast<size_t>(UINT64_MAX);
+  const std::string listen = StringFlag(argc, argv, "listen");
+  if (!network && !listen.empty()) {
+    std::printf("--listen requires --port\n");
+    return 2;
+  }
+  const std::string trace_out = StringFlag(argc, argv, "trace-out");
 
+  // Tail sampling is always on; the flag adds a latency threshold and makes
+  // captured records visible (tripped/failed queries are captured even
+  // without it — the sink is what surfaces them here).
+  if (slow_usec > 0) {
+    obs::FlightRecorder::Global().set_slow_query_usec(
+        static_cast<uint64_t>(slow_usec));
+  }
+  if (slow_usec > 0 || deadline_ms > 0 || max_elements > 0) {
+    obs::FlightRecorder::Global().SetSlowQuerySink(
+        [](const std::string& json) {
+          std::fprintf(stderr, "slow-query: %s\n", json.c_str());
+        });
+  }
+
+  // The server's executor workers (network mode) block on each query's
+  // segment fan-out, which must land on this *different* pool (the
+  // nested-fan-out starvation rule, docs/CONCURRENCY.md).
   const unsigned hw = std::thread::hardware_concurrency();
   ThreadPool pool(std::max(1u, (hw == 0 ? 2u : hw) - 1));
   serve::DynamicServingOptions so;
+  so.build.num_segments = shards;
   so.cache_bytes = cache_mb << 20;
   so.rebuild_threshold = rebuild_every;
   so.pool = &pool;
   WallTimer build_timer;
-  serve::DynamicServing serving(corpus.records, so);
+  serve::DynamicServing serving(corpus->records, so);
   std::fprintf(stderr,
-               "dynamic serving over %zu records (%zu MiB cache%s) — built "
-               "in %.2fs\n",
-               corpus.records.size(), cache_mb,
+               "serving %zu records over %zu segments (%zu MiB cache%s) — "
+               "built in %.2fs\n",
+               corpus->records.size(),
+               serving.selector().snapshot().main().num_segments(), cache_mb,
                rebuild_every > 0 ? ", auto-rebuild" : "",
                build_timer.ElapsedSeconds());
 
+  // Periodic registry dump: a detached-looking but joined helper thread so
+  // long sessions show their serving stats without a scrape endpoint.
+  std::atomic<bool> stop_stats{false};
+  std::thread stats_thread;
+  if (stats_every > 0) {
+    stats_thread = std::thread([&stop_stats, stats_every] {
+      auto next = std::chrono::steady_clock::now() +
+                  std::chrono::seconds(stats_every);
+      while (!stop_stats.load(std::memory_order_relaxed)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        if (std::chrono::steady_clock::now() < next) continue;
+        next += std::chrono::seconds(stats_every);
+        std::string text =
+            obs::ToPrometheusText(obs::MetricsRegistry::Global().Snapshot());
+        std::fprintf(stderr, "--- metrics ---\n%s--- end metrics ---\n",
+                     text.c_str());
+      }
+    });
+  }
+  auto finish = [&](int code) {
+    if (stats_thread.joinable()) {
+      stop_stats.store(true, std::memory_order_relaxed);
+      stats_thread.join();
+    }
+    serving.selector().WaitForRebuild();
+    return code;
+  };
+  if (network) {
+    return finish(RunServeNetwork(&serving, argc, argv,
+                                  listen.empty() ? "127.0.0.1" : listen,
+                                  static_cast<uint16_t>(port_flag),
+                                  deadline_ms, max_elements));
+  }
+
   const bool use_prefilter = !HasFlag(argc, argv, "--no-prefilter");
   auto run_one = [&](const std::string& text) {
+    obs::QueryTrace trace;
     SelectOptions options;
     options.prefilter = use_prefilter;
+    if (!trace_out.empty()) options.trace = &trace;
     if (deadline_ms > 0) {
       options.control.deadline =
           QueryControl::DeadlineAfterMillis(static_cast<int64_t>(deadline_ms));
@@ -416,25 +556,12 @@ int RunServeDynamic(const Corpus& corpus, int argc, char** argv, double tau,
     options.control.max_elements_read = max_elements;
     WallTimer timer;
     QueryResult r = serving.Select(text, tau, kind, options);
-    std::printf("%zu matches in %.2f ms (version %llu, %zu in delta)\n",
-                r.matches.size(), timer.ElapsedMillis(),
+    PrintMatches(r, timer.ElapsedMillis(),
+                 [&](SetId id) { return serving.selector().text(id); });
+    std::printf("  version %llu, %zu in delta\n",
                 (unsigned long long)r.snapshot_version,
                 serving.selector().delta_size());
-    if (!r.status.ok()) {
-      std::printf("  !! query failed: %s\n", r.status.ToString().c_str());
-    } else if (r.termination != Termination::kCompleted) {
-      std::printf("  !! partial result (%s tripped)\n",
-                  TerminationName(r.termination));
-    }
-    size_t shown = 0;
-    for (const Match& m : r.matches) {
-      if (shown++ >= 20) {
-        std::printf("  ... and %zu more\n", r.matches.size() - shown + 1);
-        break;
-      }
-      std::printf("  [%u] %-40s %.3f\n", m.id,
-                  serving.selector().text(m.id).c_str(), m.score);
-    }
+    if (!trace_out.empty()) WriteTraceFile(trace_out, trace);
     if (serving.result_cache() != nullptr) {
       const serve::ResultCache& cache = *serving.result_cache();
       std::printf("  cache: %llu hits / %llu misses (%.1f%% hit rate, "
@@ -445,7 +572,7 @@ int RunServeDynamic(const Corpus& corpus, int argc, char** argv, double tau,
     }
   };
 
-  // One-shot query text, same convention as the sharded path.
+  // Non-flag arguments after the records path form a one-shot query.
   std::string text;
   for (int i = 3; i < argc; ++i) {
     if (std::strcmp(argv[i], "--tau") == 0) {
@@ -458,11 +585,13 @@ int RunServeDynamic(const Corpus& corpus, int argc, char** argv, double tau,
   }
   if (!text.empty()) {
     run_one(text);
-    return 0;
+    return finish(0);
   }
-  std::printf("tau=%.2f algo=%s dynamic — `+<text>` inserts, `!rebuild` "
-              "folds the delta, any other line queries, ctrl-d to exit\n",
-              tau, AlgorithmKindName(kind));
+  std::printf("tau=%.2f algo=%s segments=%zu — `+<text>` inserts, "
+              "`!rebuild` folds the delta, any other line queries, ctrl-d "
+              "to exit\n",
+              tau, AlgorithmKindName(kind),
+              serving.selector().snapshot().main().num_segments());
   std::string line;
   while (std::getline(std::cin, line)) {
     if (line.empty()) continue;
@@ -486,258 +615,7 @@ int RunServeDynamic(const Corpus& corpus, int argc, char** argv, double tau,
     }
     run_one(line);
   }
-  serving.selector().WaitForRebuild();
-  return 0;
-}
-
-/// Drain target of the SIGTERM/SIGINT handler. RequestStop is one
-/// async-signal-safe eventfd write, so calling it from the handler is legal.
-serve::Server* g_signal_server = nullptr;
-
-void OnStopSignal(int) {
-  if (g_signal_server != nullptr) g_signal_server->RequestStop();
-}
-
-/// `serve <records.txt> --port=N`: the network front end. The same sharded
-/// (default) or --dynamic back end as the repl paths, behind the TCP line
-/// protocol of serve/server.h: queue-depth admission control (--max-queue),
-/// a per-request deadline SLO (--deadline-ms, anchored at admission), a
-/// default per-tenant element budget (--max-elements), and graceful drain
-/// on SIGTERM/SIGINT — stop accepting, finish and flush every admitted
-/// request, then exit with a reconciliation summary.
-int RunServeNetwork(const Corpus& corpus, int argc, char** argv,
-                    const std::string& listen, uint16_t port) {
-  size_t shards, cache_mb, rebuild_every, deadline_ms, max_elements, max_queue;
-  if (!StrictCount(argc, argv, "shards", 4, 1, 256, &shards) ||
-      !StrictCount(argc, argv, "cache-mb", 64, 0, 1u << 16, &cache_mb) ||
-      !StrictCount(argc, argv, "rebuild-every", 0, 0, UINT32_MAX,
-                   &rebuild_every) ||
-      !StrictCount(argc, argv, "deadline-ms", 0, 0, 86400000, &deadline_ms) ||
-      !StrictCount(argc, argv, "max-elements", 0, 0, UINT64_MAX,
-                   &max_elements) ||
-      !StrictCount(argc, argv, "max-queue", 64, 0, 1u << 20, &max_queue)) {
-    return 2;
-  }
-  const bool dynamic = HasFlag(argc, argv, "--dynamic");
-
-  const unsigned hw = std::thread::hardware_concurrency();
-  // Two pools on purpose: the server's executor workers block on each
-  // query's shard fan-out / rebuild, which must land on a *different* pool
-  // (the nested-fan-out starvation rule, docs/CONCURRENCY.md).
-  ThreadPool backend_pool(std::max(1u, (hw == 0 ? 2u : hw) - 1));
-
-  serve::ServerOptions so;
-  so.listen_addr = listen;
-  so.port = port;
-  so.num_workers = std::max(2u, hw == 0 ? 2u : hw);
-  so.max_queue = max_queue;
-  so.deadline_ms = deadline_ms;
-  so.default_element_budget = max_elements;
-
-  WallTimer build_timer;
-  std::unique_ptr<serve::ShardedSelector> sharded;
-  std::unique_ptr<serve::DynamicServing> dyn;
-  std::unique_ptr<serve::Server> server;
-  if (dynamic) {
-    serve::DynamicServingOptions dso;
-    dso.cache_bytes = cache_mb << 20;
-    dso.rebuild_threshold = rebuild_every;
-    dso.pool = &backend_pool;
-    dyn = std::make_unique<serve::DynamicServing>(corpus.records, dso);
-    server = std::make_unique<serve::Server>(dyn.get(), so);
-  } else {
-    serve::ShardedSelectorOptions sso;
-    sso.num_shards = shards;
-    sso.cache_bytes = cache_mb << 20;
-    sharded = std::make_unique<serve::ShardedSelector>(
-        serve::ShardedSelector::Build(corpus.records, sso));
-    sharded->set_thread_pool(&backend_pool);
-    server = std::make_unique<serve::Server>(sharded.get(), so);
-  }
-  Status st = server->Start();
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 1;
-  }
-  g_signal_server = server.get();
-  std::signal(SIGTERM, OnStopSignal);
-  std::signal(SIGINT, OnStopSignal);
-  // The bound port goes to stdout (scripts parse it; --port=0 is ephemeral).
-  std::printf("listening on %s:%u (%s back end over %zu records, "
-              "workers=%zu max-queue=%zu deadline-ms=%zu) — built in %.2fs\n",
-              listen.c_str(), server->port(), dynamic ? "dynamic" : "sharded",
-              corpus.records.size(), so.num_workers, max_queue, deadline_ms,
-              build_timer.ElapsedSeconds());
-  std::fflush(stdout);
-  server->Join();
-  g_signal_server = nullptr;
-  std::printf("drained: ok=%llu partial=%llu shed=%llu err=%llu inserts=%llu "
-              "in-flight=%zu\n",
-              (unsigned long long)server->ok_count(),
-              (unsigned long long)server->partial_count(),
-              (unsigned long long)server->shed_count(),
-              (unsigned long long)server->error_count(),
-              (unsigned long long)server->insert_count(),
-              server->queue_depth());
-  if (dyn != nullptr) dyn->selector().WaitForRebuild();
-  return server->queue_depth() == 0 ? 0 : 1;
-}
-
-/// `serve <records.txt> [<text>]`: the serving-layer front end. Builds a
-/// ShardedSelector over the records (global statistics, per-shard indexes),
-/// attaches a thread pool sized to the machine and a versioned result
-/// cache, then answers one query (when <text> is given) or a repl loop.
-/// Prints the cache's cumulative hit/miss line after every query so the
-/// effect of repeats is visible interactively.
-int RunServe(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  Result<Corpus> corpus = LoadCorpusFromFile(argv[2]);
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
-    return 1;
-  }
-  double tau;
-  if (!ParseTau(argc, argv, 0.75, &tau)) return Usage();
-  AlgorithmKind kind;
-  if (!ParseAlgo(argc, argv, &kind)) return 2;
-  // --port switches to the network front end (tau/algo then arrive per
-  // request over the wire). The UINT64_MAX fallback distinguishes "absent"
-  // from an explicit --port=0 (ephemeral).
-  size_t port_flag;
-  if (!StrictCount(argc, argv, "port", UINT64_MAX, 0, 65535, &port_flag)) {
-    return 2;
-  }
-  const std::string listen = StringFlag(argc, argv, "listen");
-  if (port_flag != static_cast<size_t>(UINT64_MAX)) {
-    return RunServeNetwork(*corpus, argc, argv,
-                           listen.empty() ? "127.0.0.1" : listen,
-                           static_cast<uint16_t>(port_flag));
-  }
-  if (!listen.empty()) {
-    std::printf("--listen requires --port\n");
-    return 2;
-  }
-  if (HasFlag(argc, argv, "--dynamic")) {
-    return RunServeDynamic(*corpus, argc, argv, tau, kind);
-  }
-  size_t shards, cache_mb, deadline_ms, max_elements, slow_usec, stats_every;
-  if (!StrictCount(argc, argv, "shards", 4, 1, 256, &shards) ||
-      !StrictCount(argc, argv, "cache-mb", 64, 0, 1u << 16, &cache_mb) ||
-      !StrictCount(argc, argv, "deadline-ms", 0, 0, 86400000, &deadline_ms) ||
-      !StrictCount(argc, argv, "max-elements", 0, 0, UINT64_MAX,
-                   &max_elements) ||
-      !StrictCount(argc, argv, "slow-query-usec", 0, 0, UINT64_MAX,
-                   &slow_usec) ||
-      !StrictCount(argc, argv, "stats-every", 0, 0, 86400, &stats_every)) {
-    return 2;
-  }
-  const std::string trace_out = StringFlag(argc, argv, "trace-out");
-
-  // Tail sampling is always on; the flag adds a latency threshold and makes
-  // captured records visible (tripped/failed queries are captured even
-  // without it — the sink is what surfaces them here).
-  if (slow_usec > 0) {
-    obs::FlightRecorder::Global().set_slow_query_usec(
-        static_cast<uint64_t>(slow_usec));
-  }
-  if (slow_usec > 0 || deadline_ms > 0 || max_elements > 0) {
-    obs::FlightRecorder::Global().SetSlowQuerySink(
-        [](const std::string& json) {
-          std::fprintf(stderr, "slow-query: %s\n", json.c_str());
-        });
-  }
-
-  serve::ShardedSelectorOptions so;
-  so.num_shards = shards;
-  so.cache_bytes = cache_mb << 20;
-  WallTimer build_timer;
-  serve::ShardedSelector sel =
-      serve::ShardedSelector::Build(corpus->records, so);
-  const unsigned hw = std::thread::hardware_concurrency();
-  ThreadPool pool(std::max(1u, (hw == 0 ? 2u : hw) - 1));
-  sel.set_thread_pool(&pool);
-  std::fprintf(stderr,
-               "serving %zu records over %zu shards (%zu MiB cache) — built "
-               "in %.2fs\n",
-               corpus->records.size(), sel.num_shards(), cache_mb,
-               build_timer.ElapsedSeconds());
-
-  // Periodic registry dump: a detached-looking but joined helper thread so
-  // long repl sessions show their serving stats without a scrape endpoint.
-  std::atomic<bool> stop_stats{false};
-  std::thread stats_thread;
-  if (stats_every > 0) {
-    stats_thread = std::thread([&stop_stats, stats_every] {
-      auto next = std::chrono::steady_clock::now() +
-                  std::chrono::seconds(stats_every);
-      while (!stop_stats.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        if (std::chrono::steady_clock::now() < next) continue;
-        next += std::chrono::seconds(stats_every);
-        std::string text =
-            obs::ToPrometheusText(obs::MetricsRegistry::Global().Snapshot());
-        std::fprintf(stderr, "--- metrics ---\n%s--- end metrics ---\n",
-                     text.c_str());
-      }
-    });
-  }
-
-  const bool use_prefilter = !HasFlag(argc, argv, "--no-prefilter");
-  auto run_one = [&](const std::string& text) {
-    obs::QueryTrace trace;
-    SelectOptions options;
-    options.prefilter = use_prefilter;
-    if (!trace_out.empty()) options.trace = &trace;
-    if (deadline_ms > 0) {
-      options.control.deadline =
-          QueryControl::DeadlineAfterMillis(static_cast<int64_t>(deadline_ms));
-    }
-    options.control.max_elements_read = max_elements;
-    WallTimer timer;
-    QueryResult r = sel.Select(text, tau, kind, options);
-    PrintMatches(sel.collection(), r, timer.ElapsedMillis());
-    if (!trace_out.empty()) WriteTraceFile(trace_out, trace);
-    if (sel.result_cache() != nullptr) {
-      const serve::ResultCache& cache = *sel.result_cache();
-      std::printf("  cache: %llu hits / %llu misses (%.1f%% hit rate, "
-                  "%zu entries)\n",
-                  (unsigned long long)cache.hits(),
-                  (unsigned long long)cache.misses(), 100.0 * cache.HitRate(),
-                  cache.entries());
-    }
-  };
-
-  // Non-flag arguments after the records path form a one-shot query.
-  std::string text;
-  for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--tau") == 0) {
-      ++i;
-      continue;
-    }
-    if (std::strncmp(argv[i], "--", 2) == 0) continue;
-    if (!text.empty()) text += ' ';
-    text += argv[i];
-  }
-  auto stop_stats_thread = [&] {
-    if (stats_thread.joinable()) {
-      stop_stats.store(true, std::memory_order_relaxed);
-      stats_thread.join();
-    }
-  };
-  if (!text.empty()) {
-    run_one(text);
-    stop_stats_thread();
-    return 0;
-  }
-  std::printf("tau=%.2f algo=%s shards=%zu — one query per line, ctrl-d to "
-              "exit\n",
-              tau, AlgorithmKindName(kind), sel.num_shards());
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (!line.empty()) run_one(line);
-  }
-  stop_stats_thread();
-  return 0;
+  return finish(0);
 }
 
 }  // namespace

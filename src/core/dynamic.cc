@@ -9,7 +9,6 @@
 #include "common/timer.h"
 #include "core/internal.h"
 #include "obs/metrics_registry.h"
-#include "storage/posting_store.h"
 
 namespace simsel {
 namespace dynamic_internal {
@@ -168,8 +167,8 @@ class DeltaIndex {
 /// One immutable generation of the selector: swapped atomically by Rebuild,
 /// freed through the EpochManager once the last pinned reader exits.
 struct State {
-  /// The main segment; in disk mode it owns its PostingStore.
-  std::shared_ptr<const SimilaritySelector> main;
+  /// The main part; in disk mode each of its segments owns its store.
+  std::shared_ptr<SimilaritySelector> main;
   /// version() of this generation with an empty delta; the live version is
   /// base_version + delta count.
   uint64_t base_version = 0;
@@ -312,13 +311,14 @@ using dynamic_internal::State;
 
 DynamicSelector::DynamicSelector(const std::vector<std::string>& initial,
                                  const BuildOptions& options)
-    : DynamicSelector(initial, Options{options, /*disk_mode=*/false}) {}
-
-DynamicSelector::DynamicSelector(const std::vector<std::string>& initial,
-                                 const Options& options)
-    : build_options_(options.build), disk_mode_(options.disk_mode) {
+    : build_options_(options) {
   state_.store(BuildState(initial, /*base_version=*/0),
                std::memory_order_seq_cst);
+}
+
+void DynamicSelector::set_thread_pool(ThreadPool* pool) {
+  pool_ = pool;
+  state_.load(std::memory_order_seq_cst)->main->set_thread_pool(pool);
 }
 
 DynamicSelector::~DynamicSelector() {
@@ -330,16 +330,9 @@ DynamicSelector::~DynamicSelector() {
 State* DynamicSelector::BuildState(const std::vector<std::string>& texts,
                                    uint64_t base_version) const {
   auto* state = new State();
-  auto main = std::make_shared<SimilaritySelector>(
+  state->main = std::make_shared<SimilaritySelector>(
       SimilaritySelector::Build(texts, build_options_));
-  if (disk_mode_) {
-    // The store belongs to this main segment and is swapped with it, so it
-    // never addresses a stale index; with no pool, no page key can alias
-    // across swapped stores.
-    main->segment_.store =
-        std::make_unique<PostingStore>(PostingStore::Build(main->index()));
-  }
-  state->main = std::move(main);
+  state->main->set_thread_pool(pool_);
   state->base_version = base_version;
   state->delta = std::make_unique<DeltaIndex>(
       state->main->collection().dictionary().size());
@@ -391,9 +384,10 @@ QueryResult DynamicSelector::Snapshot::SelectPrepared(
   WallTimer timer;
   const double clamped = internal::ClampTau(tau);
   const SimilaritySelector& main = *state_->main;
-  // The main part: the main selector's unmetered dispatch, whose
-  // SelectSegment binds a disk-mode segment's store.
-  QueryResult result = main.Dispatch(q, clamped, kind, options);
+  // The main part, unmetered: the delta part joins it before the one flush.
+  const obs::QueryTrace* run_trace = nullptr;
+  QueryResult result =
+      main.SelectUnmetered(q, clamped, kind, options, &run_trace);
   // The delta part runs only after a complete, OK main part: a failed
   // result's matches are cleared, and a tripped partial must not look
   // fuller than its termination admits.
@@ -402,10 +396,9 @@ QueryResult DynamicSelector::Snapshot::SelectPrepared(
                                   clamped, options, &result);
   }
   result.snapshot_version = version();
-  result.trace = options.trace;
   internal::RecordQueryMetrics(kind, result,
                                static_cast<uint64_t>(timer.ElapsedMicros()),
-                               options.trace);
+                               run_trace);
   return result;
 }
 
@@ -428,13 +421,15 @@ size_t DynamicSelector::size() const { return snapshot().size(); }
 
 size_t DynamicSelector::delta_size() const { return snapshot().delta_size(); }
 
-std::string DynamicSelector::text(SetId id) const {
-  Snapshot snap = snapshot();
-  SIMSEL_CHECK(id < snap.size());
-  const Collection& main = snap.state_->main->collection();
+std::string DynamicSelector::Snapshot::text(SetId id) const {
+  SIMSEL_CHECK(id < size());
+  const Collection& main = state_->main->collection();
   if (id < main.size()) return main.text(id);
-  return snap.state_->delta->record(static_cast<uint32_t>(id - main.size()))
-      .text;
+  return state_->delta->record(static_cast<uint32_t>(id - main.size())).text;
+}
+
+std::string DynamicSelector::text(SetId id) const {
+  return snapshot().text(id);
 }
 
 QueryResult DynamicSelector::Select(std::string_view query, double tau,

@@ -65,21 +65,12 @@ struct State;
 ///    StartRebuild runs the same procedure on a ThreadPool worker.
 class DynamicSelector {
  public:
-  struct Options {
-    BuildOptions build;
-    /// Serve the main segment's postings from a disk-resident PostingStore
-    /// owned by that segment (rebuilt per segment and swapped with it, so a
-    /// store never addresses a stale index). In this mode
-    /// SelectOptions::posting_store and buffer_pool are ignored: SelectSegment
-    /// binds the segment's store with no pool, because pool page keys would
-    /// alias across swapped stores.
-    bool disk_mode = false;
-  };
-
+  /// `options` builds the main part at construction and at every Rebuild:
+  /// a SimilaritySelector over `num_segments` segments, in disk mode each
+  /// with its own PostingStore (and pool) that is rebuilt and swapped with
+  /// the main part, so a store never addresses a stale index.
   explicit DynamicSelector(const std::vector<std::string>& initial_records,
                            const BuildOptions& options = BuildOptions());
-  DynamicSelector(const std::vector<std::string>& initial_records,
-                  const Options& options);
   /// Waits for an in-flight StartRebuild, then frees every segment. No
   /// reads may be in flight.
   ~DynamicSelector();
@@ -100,8 +91,10 @@ class DynamicSelector {
     uint64_t version() const;
     size_t size() const;
     size_t delta_size() const;
-    /// The pinned main segment; valid while this snapshot is alive.
+    /// The pinned main part; valid while this snapshot is alive.
     const SimilaritySelector& main() const;
+    /// Record text by id (main part or delta), copied out.
+    std::string text(SetId id) const;
 
     PreparedQuery Prepare(std::string_view query) const;
     /// Same contract as DynamicSelector::Select, against this fixed cut.
@@ -112,16 +105,15 @@ class DynamicSelector {
                                AlgorithmKind kind,
                                const SelectOptions& options) const;
 
+    /// Made by DynamicSelector::snapshot (State is internal to it).
+    Snapshot(EpochManager::Guard guard, const dynamic_internal::State* state,
+             uint32_t delta_count);
     Snapshot(Snapshot&&) noexcept = default;
     Snapshot(const Snapshot&) = delete;
     Snapshot& operator=(const Snapshot&) = delete;
     Snapshot& operator=(Snapshot&&) = delete;
 
    private:
-    friend class DynamicSelector;
-    Snapshot(EpochManager::Guard guard, const dynamic_internal::State* state,
-             uint32_t delta_count);
-
     EpochManager::Guard guard_;
     const dynamic_internal::State* state_;
     uint32_t delta_count_;
@@ -146,11 +138,18 @@ class DynamicSelector {
   /// — a reference could dangle once a Rebuild retires the segment.
   std::string text(SetId id) const;
 
-  /// Selection over both segments with frozen statistics, in two parts
-  /// and one metrics flush. The main part runs `kind` through the main
-  /// selector's segment; the delta part is resolved through its per-token
-  /// inverted index (candidates charged to rows_scanned, postings to
-  /// elements_read) and scored by the same IdfMeasure. The delta part runs
+  /// Workers for the main part's segment fan-out, passed to every main
+  /// selector this builds (SimilaritySelector::set_thread_pool; borrowed,
+  /// null = serial). Not synchronized with in-flight queries or rebuilds:
+  /// set it before serving.
+  void set_thread_pool(ThreadPool* pool);
+
+  /// Selection over the main part and the delta with frozen statistics,
+  /// in two parts and one metrics flush. The main part runs `kind` through
+  /// the main selector (over each of its segments); the delta part is
+  /// resolved through its per-token inverted index (candidates charged to
+  /// rows_scanned, postings to elements_read) and scored by the same
+  /// IdfMeasure; its ids lie above every main id. The delta part runs
   /// only after a complete, OK main part (a failed result's matches are
   /// already cleared; appending delta matches would disguise a partial as
   /// fuller than its termination admits). `options.control` bounds the
@@ -199,7 +198,7 @@ class DynamicSelector {
     return version_.load(std::memory_order_acquire);
   }
 
-  bool disk_mode() const { return disk_mode_; }
+  bool disk_mode() const { return build_options_.disk_mode; }
 
  private:
   dynamic_internal::State* BuildState(const std::vector<std::string>& texts,
@@ -207,7 +206,7 @@ class DynamicSelector {
   void DoRebuild();
 
   BuildOptions build_options_;
-  bool disk_mode_ = false;
+  ThreadPool* pool_ = nullptr;
 
   /// Current state; swapped by Rebuild, dereferenced by readers only under
   /// an epoch guard (seq_cst on both sides — see common/epoch.h for why).

@@ -17,10 +17,11 @@ namespace simsel {
 ///  - inter-query: BatchSelect runs a workload of independent queries across
 ///    a thread pool (the front doors are const-thread-compatible), the
 ///    bread-and-butter parallelism of a similarity-search service;
-///  - intra-query: serve::ShardedSelector partitions the collection into
-///    segments and runs one query's algorithm over every segment on its
-///    pool (any algorithm but kSql), the pattern a partitioned deployment
-///    uses per partition.
+///  - intra-query: a SimilaritySelector built with num_segments > 1 runs
+///    one query's algorithm over every segment, segment 0 inline and the
+///    rest on its pool (any algorithm but kSql), the pattern a partitioned
+///    deployment uses per partition. ShardedSelector and a K-segment
+///    DynamicSelector inherit it.
 
 namespace internal {
 
@@ -39,8 +40,8 @@ std::vector<QueryResult> RunBatch(
 /// (SimilaritySelector, serve::ShardedSelector). Results are positionally
 /// aligned with `queries`. Queries run concurrently on `pool`; a null pool
 /// runs the batch in order on the caller's thread — the way to batch a
-/// ShardedSelector, whose Select fans out across its own pool and must not
-/// run on the pool it scatters into.
+/// selector of K > 1 segments, whose Select fans out across its own pool
+/// and must not run on the pool it scatters into.
 ///
 /// `options.control` applies to every query of the batch: the deadline is
 /// absolute, so queries dispatched later simply inherit less remaining time,

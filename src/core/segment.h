@@ -15,10 +15,9 @@ namespace simsel {
 /// One part of a collection that the algorithms run over: the sets with
 /// global ids in [begin, end) and an inverted index over them (global ids
 /// and lengths, see InvertedIndex::BuildShard), plus optional storage and
-/// the optional sketch tier. SimilaritySelector holds one segment spanning
-/// the whole collection; serve::ShardedSelector holds K contiguous ones and
-/// concatenates their answers — the paper's "parallel versions": the same
-/// exact algorithm over several parts of the collection.
+/// the optional sketch tier. SimilaritySelector holds K contiguous segments
+/// (K = 1 by default) and concatenates their answers — the paper's "parallel
+/// versions": the same exact algorithm over several parts of the collection.
 struct Segment {
   SetId begin = 0;
   SetId end = 0;

@@ -112,8 +112,8 @@ struct QueryResult {
   /// version() (the result is byte-identical to a serial query against the
   /// collection frozen at exactly this version, and a cached copy stays
   /// valid while DynamicSelector::version() still returns it), the constant
-  /// serve::ShardedSelector::kVersion for a sharded answer, 0 from a plain
-  /// SimilaritySelector.
+  /// serve::ShardedSelector::kVersion from that cache-fronted selector, 0
+  /// from a plain SimilaritySelector of any segment count.
   uint64_t snapshot_version = 0;
 
   /// True when this is the full, trustworthy answer.
@@ -172,14 +172,14 @@ struct SelectOptions {
   /// timed spans (tokenize, planning, list rounds, verification) into it
   /// (see obs/trace.h). Owned by the caller, strictly one trace per query
   /// per thread — never share one across concurrent queries. Concurrent
-  /// executors (BatchSelect, ShardedSelector) honor this by recording each
-  /// worker into a private child trace and stitching the children into this
-  /// trace after the join (obs::QueryTrace::AdoptChild), so the caller still
-  /// gets one hierarchical span tree. Null (the default) costs a single
-  /// pointer test per phase; untraced serving-layer queries may still be
-  /// tail-sampled by the always-on flight recorder (obs/flight_recorder.h),
-  /// which records into its own thread-local trace without touching this
-  /// field.
+  /// executors (BatchSelect, the K-segment fan-out) honor this by recording
+  /// each worker into a private child trace and stitching the children
+  /// into this trace after the join (obs::QueryTrace::AdoptChild), so the
+  /// caller still gets one hierarchical span tree. Null (the default) costs a single
+  /// pointer test per phase; an untraced query that fans out over more than
+  /// one segment is still tail-sampled by the always-on flight recorder
+  /// (obs/flight_recorder.h), which records into its own thread-local trace
+  /// without touching this field.
   obs::QueryTrace* trace = nullptr;
   /// Per-query deadline/budget/cancellation limits. Default: no limits.
   /// Unlike the trace, the control may be shared across concurrent queries

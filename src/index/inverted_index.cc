@@ -30,11 +30,8 @@ std::unique_ptr<ThreadPool> MakeBuildPool(const InvertedIndexOptions& options,
 InvertedIndex InvertedIndex::Build(const Collection& collection,
                                    const IdfMeasure& measure,
                                    InvertedIndexOptions options) {
-  std::vector<float> lengths(collection.size());
-  for (SetId s = 0; s < collection.size(); ++s) {
-    lengths[s] = measure.set_length(s);
-  }
-  return BuildWithLengths(collection, lengths, options);
+  return BuildShard(collection, measure, 0,
+                    static_cast<SetId>(collection.size()), options);
 }
 
 InvertedIndex InvertedIndex::BuildWithLengths(

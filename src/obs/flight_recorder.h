@@ -38,14 +38,14 @@ namespace simsel::obs {
 ///     tail sampling: the decision to keep is made *after* the query ran,
 ///     so no sampling rate has to be guessed up front.
 ///
-/// The serving layer feeds the recorder: when a query arrives without a
-/// caller trace, ShardedSelector attaches the recorder's reusable
-/// thread-local trace so span data exists to sample (see ThreadTrace);
-/// explicitly traced queries are sampled from the caller's trace. The core
-/// SimilaritySelector deliberately does NOT auto-attach — its queries run
-/// in tens of microseconds with hundreds of spans, so sampling them all
-/// would blow the bench budget; untraced core queries still report
-/// completions (latency, counters, termination) without spans. With
+/// Fan-out queries feed the recorder: when a query over more than one
+/// segment arrives without a caller trace, SimilaritySelector attaches the
+/// recorder's reusable thread-local trace so span data exists to sample
+/// (see ThreadTrace); explicitly traced queries are sampled from the
+/// caller's trace. A one-segment query deliberately does NOT auto-attach —
+/// it runs in tens of microseconds with hundreds of spans, so sampling
+/// them all would blow the bench budget; untraced one-segment queries still
+/// report completions (latency, counters, termination) without spans. With
 /// SIMSEL_DISABLE_TRACING the recorder compiles to stubs (ThreadTrace
 /// returns null, nothing records).
 

@@ -2,15 +2,14 @@
 
 #include <utility>
 
-#include "core/internal.h"
-
 namespace simsel::serve {
 
 DynamicServing::DynamicServing(const std::vector<std::string>& initial,
                                const DynamicServingOptions& options)
-    : selector_(initial, options.selector),
+    : selector_(initial, options.build),
       rebuild_threshold_(options.rebuild_threshold),
       pool_(options.pool) {
+  selector_.set_thread_pool(options.pool);
   if (options.cache_bytes > 0) {
     ResultCacheOptions cache_options;
     cache_options.capacity_bytes = options.cache_bytes;
@@ -41,13 +40,12 @@ QueryResult DynamicServing::Select(std::string_view query, double tau,
                                    const SelectOptions& options) const {
   DynamicSelector::Snapshot snap = selector_.snapshot();
   PreparedQuery q = snap.Prepare(query);
-  const double clamped = internal::ClampTau(tau);
   // The cache epoch is the pinned snapshot's version: key and execution
   // then agree on one frozen-statistics generation even if a rebuild swap
   // lands between them.
-  return CachedSelect(cache_.get(), q, clamped, kind, options,
+  return CachedSelect(cache_.get(), q, tau, kind, options,
                       selector_.disk_mode(), snap.main().measure().name(),
-                      snap.version(), options.trace, [&] {
+                      snap.version(), [&](double clamped) {
                         return snap.SelectPrepared(q, clamped, kind, options);
                       });
 }

@@ -14,27 +14,29 @@ namespace simsel::serve {
 
 /// Construction knobs for the read-write serving front.
 struct DynamicServingOptions {
-  /// Build + storage knobs of the underlying DynamicSelector (disk_mode
-  /// swaps a per-segment PostingStore with each rebuild).
-  DynamicSelector::Options selector;
+  /// Build, segment and storage knobs of the DynamicSelector's main part
+  /// (num_segments, disk_mode and pool_pages included).
+  BuildOptions build;
   /// Byte budget of the result cache in front of the selector. 0 = none.
   size_t cache_bytes = 0;
   /// Kick off a *background* rebuild (on `pool`) whenever an AddRecord
   /// leaves at least this many records in the delta. 0 disables the
   /// policy; Rebuild() can always be called explicitly.
   size_t rebuild_threshold = 0;
-  /// Workers for background rebuilds (borrowed). Null downgrades the
-  /// rebuild policy to synchronous rebuilds on the inserting thread.
+  /// Workers for background rebuilds and for the main part's segment
+  /// fan-out (borrowed). Null downgrades the rebuild policy to synchronous
+  /// rebuilds on the inserting thread and runs segments serially.
   ThreadPool* pool = nullptr;
 };
 
 /// The read-write serving layer: a DynamicSelector fronted by a versioned
 /// ResultCache, with an automatic online-rebuild policy.
 ///
-/// Queries go through CachedSelect, the same cache-fronted sequence as
-/// ShardedSelector's: every cache entry is stamped with the selector
-/// version of the snapshot that produced it (QueryResult::snapshot_version),
-/// and lookups present the *current* version — so one atomic counter bump
+/// This is the one back end of serve::Server. Queries go through
+/// CachedSelect, the same cache-fronted sequence as ShardedSelector's:
+/// every cache entry is stamped with the selector version of the snapshot
+/// that produced it (QueryResult::snapshot_version), and lookups present
+/// the *current* version — so one atomic counter bump
 /// per AddRecord/Rebuild invalidates every stale answer in O(1), with
 /// DynamicSelector::version() as the cache epoch (serve/result_cache.h). A
 /// query racing an insert can only under-stamp (its snapshot version),
@@ -43,8 +45,10 @@ struct DynamicServingOptions {
 ///
 /// Thread-safe: Select/AddRecord/Rebuild may race freely (the selector is
 /// internally synchronized; the cache is sharded). Do not call Select from
-/// a task running on `pool` while a rebuild is queued behind it — the
-/// usual pool-starvation rule (docs/CONCURRENCY.md).
+/// a task running on `pool`: a query over K > 1 segments blocks on its
+/// fan-out there — the usual pool-starvation rule (docs/CONCURRENCY.md).
+/// Segment 0 runs on the calling thread, so a query still makes progress
+/// while a rebuild holds a worker.
 class DynamicServing {
  public:
   DynamicServing(const std::vector<std::string>& initial_records,

@@ -116,14 +116,14 @@ std::string ResultCache::MakeKey(const PreparedQuery& q, double clamped_tau,
 bool ResultCache::LookupQuery(const PreparedQuery& q, double clamped_tau,
                               AlgorithmKind kind, const SelectOptions& options,
                               bool disk_mode, std::string_view measure_name,
-                              uint64_t epoch, obs::QueryTrace* trace,
-                              std::string* key, QueryResult* out) {
+                              uint64_t epoch, std::string* key,
+                              QueryResult* out) {
   static obs::Histogram* const latency =
       obs::MetricsRegistry::Global().GetHistogram(
           "simsel_serve_stage_latency_usec",
           obs::LabelPair("stage", "cache_lookup"));
   WallTimer timer;
-  obs::TraceScope span(trace, "cache_lookup");
+  obs::TraceScope span(options.trace, "cache_lookup");
   *key = MakeKey(q, clamped_tau, kind, options, disk_mode, measure_name);
   CachedResult cached;
   const bool hit = Lookup(*key, epoch, &cached);

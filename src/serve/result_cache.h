@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "core/internal.h"
 #include "core/types.h"
 #include "sim/measure.h"
 
@@ -92,15 +93,14 @@ class ResultCache {
   /// invalidation and a miss.
   bool Lookup(const std::string& key, uint64_t epoch, CachedResult* out);
 
-  /// The lookup half of CachedSelect, timed and traced as the serving stage
-  /// `cache_lookup`: renders the query's key (MakeKey) into `*key` and, on a
-  /// fresh hit at `epoch`, fills `*out` with the cached matches and
-  /// counters.
+  /// The lookup half of CachedSelect, timed and traced (into
+  /// `options.trace`) as the serving stage `cache_lookup`: renders the
+  /// query's key (MakeKey) into `*key` and, on a fresh hit at `epoch`, fills
+  /// `*out` with the cached matches and counters.
   bool LookupQuery(const PreparedQuery& q, double clamped_tau,
                    AlgorithmKind kind, const SelectOptions& options,
                    bool disk_mode, std::string_view measure_name,
-                   uint64_t epoch, obs::QueryTrace* trace, std::string* key,
-                   QueryResult* out);
+                   uint64_t epoch, std::string* key, QueryResult* out);
 
   /// Inserts (or replaces) the entry for `key` at `epoch`. Call only with
   /// complete, OK results — the caller checks QueryResult::complete().
@@ -186,20 +186,21 @@ class ResultCache {
 /// answer if it is complete (a dynamic answer is complete only when its
 /// delta part ran to the end), then stamp `epoch` as the result's
 /// snapshot_version and point its trace at the caller's `options.trace`.
-/// `clamped_tau` must already be clamped (internal::ClampTau): the key
-/// fingerprints it. `lookup_trace` receives the cache_lookup span.
+/// τ is clamped (internal::ClampTau) once here: the key fingerprints the
+/// clamped value, and `execute(clamped_tau)` runs with it.
 template <class Execute>
 QueryResult CachedSelect(ResultCache* cache, const PreparedQuery& q,
-                         double clamped_tau, AlgorithmKind kind,
+                         double tau, AlgorithmKind kind,
                          const SelectOptions& options, bool disk_mode,
                          std::string_view measure_name, uint64_t epoch,
-                         obs::QueryTrace* lookup_trace, Execute&& execute) {
+                         Execute&& execute) {
+  const double clamped_tau = internal::ClampTau(tau);
   std::string key;
   QueryResult out;
   if (cache == nullptr ||
       !cache->LookupQuery(q, clamped_tau, kind, options, disk_mode,
-                          measure_name, epoch, lookup_trace, &key, &out)) {
-    out = execute();
+                          measure_name, epoch, &key, &out)) {
+    out = execute(clamped_tau);
     if (cache != nullptr && out.complete()) {
       cache->Insert(key, epoch, out.matches, out.counters);
     }

@@ -108,17 +108,9 @@ struct Server::Request {
   std::chrono::steady_clock::time_point arrival;
 };
 
-Server::Server(const ShardedSelector* sharded, const ServerOptions& options)
-    : Server(sharded, nullptr, options) {}
-
-Server::Server(DynamicServing* dynamic, const ServerOptions& options)
-    : Server(nullptr, dynamic, options) {}
-
-Server::Server(const ShardedSelector* sharded, DynamicServing* dynamic,
-               const ServerOptions& options)
-    : sharded_(sharded), dynamic_(dynamic), options_(options) {
-  SIMSEL_CHECK_MSG((sharded_ != nullptr) != (dynamic_ != nullptr),
-                   "exactly one back end");
+Server::Server(DynamicServing* backend, const ServerOptions& options)
+    : backend_(backend), options_(options) {
+  SIMSEL_CHECK_MSG(backend_ != nullptr, "a server needs a back end");
   if (options_.num_workers == 0) options_.num_workers = 1;
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   queue_depth_metric_ = reg.GetGauge("simsel_server_queue_depth");
@@ -316,6 +308,8 @@ void Server::HandleReadable(const std::shared_ptr<Conn>& conn) {
       conn->in.append(buf, static_cast<size_t>(n));
       if (conn->in.size() > kMaxLineBytes &&
           conn->in.find('\n') == std::string::npos) {
+        error_n_.fetch_add(1, std::memory_order_relaxed);
+        outcome_error_metric_->Increment();
         Respond(conn, "- ERR request line too long", true);
         CloseConn(conn);
         return;
@@ -404,9 +398,6 @@ void Server::HandleLine(const std::shared_ptr<Conn>& conn,
       fail("unknown algorithm \"" + std::string(algo_tok) + "\"");
       return;
     }
-  } else if (dynamic_ == nullptr) {
-    fail("inserts require the dynamic back end");
-    return;
   }
   if (rest.empty()) {
     fail("empty text");
@@ -441,20 +432,12 @@ void Server::HandleLine(const std::shared_ptr<Conn>& conn,
   }
 }
 
-QueryResult Server::RunQuery(const Request& req,
-                             const SelectOptions& options) const {
-  if (dynamic_ != nullptr) {
-    return dynamic_->Select(req.text, req.tau, req.kind, options);
-  }
-  return sharded_->Select(req.text, req.tau, req.kind, options);
-}
-
 void Server::Execute(const std::shared_ptr<Conn>& conn, const Request& req) {
   std::string line;
   if (req.verb == 'I') {
-    SetId id = dynamic_->AddRecord(req.text);
+    SetId id = backend_->AddRecord(req.text);
     line = req.id + " INS " + std::to_string(id) + " " +
-           std::to_string(dynamic_->version());
+           std::to_string(backend_->version());
     insert_n_.fetch_add(1, std::memory_order_relaxed);
     inserts_metric_->Increment();
     ok_n_.fetch_add(1, std::memory_order_relaxed);
@@ -472,7 +455,8 @@ void Server::Execute(const std::shared_ptr<Conn>& conn, const Request& req) {
     options.control.max_elements_read = budget != options_.tenant_budgets.end()
                                             ? budget->second
                                             : options_.default_element_budget;
-    QueryResult result = RunQuery(req, options);
+    QueryResult result =
+        backend_->Select(req.text, req.tau, req.kind, options);
     if (!result.status.ok()) {
       line = req.id + " ERR " + Sanitize(result.status.ToString());
       error_n_.fetch_add(1, std::memory_order_relaxed);

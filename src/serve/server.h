@@ -13,7 +13,6 @@
 #include "core/types.h"
 #include "obs/metrics_registry.h"
 #include "serve/dynamic_serving.h"
-#include "serve/sharded_selector.h"
 
 namespace simsel::serve {
 
@@ -24,8 +23,9 @@ struct ServerOptions {
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
   uint16_t port = 0;
   /// Executor threads. Each admitted request runs on one worker; the
-  /// ShardedSelector's own scatter pool (if any) must be a different pool —
-  /// the usual nested-fan-out starvation rule (docs/CONCURRENCY.md).
+  /// DynamicServing's own pool (rebuilds and segment fan-out, if any) must
+  /// be a different pool — the usual nested-fan-out starvation rule
+  /// (docs/CONCURRENCY.md).
   size_t num_workers = 2;
   /// Admission bound: the maximum number of admitted requests in the system
   /// (queued or executing). A request arriving at the bound is rejected
@@ -46,11 +46,11 @@ struct ServerOptions {
   std::map<std::string, uint64_t> tenant_budgets;
 };
 
-/// Minimal TCP serving front end over a ShardedSelector (read-only) or a
-/// DynamicServing (read-write): one epoll I/O thread owning every socket,
-/// a worker ThreadPool executing admitted requests, queue-depth admission
-/// control, per-request deadlines, per-tenant element budgets, and graceful
-/// drain.
+/// Minimal TCP serving front end over a DynamicServing (a main part over any
+/// number of segments, plus the delta): one epoll I/O thread owning every
+/// socket, a worker ThreadPool executing admitted requests, queue-depth
+/// admission control, per-request deadlines, per-tenant element budgets,
+/// and graceful drain.
 ///
 /// **Protocol** — newline-delimited text, one request per line, any number
 /// of requests pipelined per connection. The client-chosen id (any token
@@ -58,7 +58,7 @@ struct ServerOptions {
 /// match up regardless of completion order:
 ///
 ///     <id> Q <tenant> <tau> <algo> <text...>   threshold selection
-///     <id> I <tenant> <text...>                insert (dynamic back end)
+///     <id> I <tenant> <text...>                insert
 ///     <id> PING                                liveness probe
 ///
 ///     <id> OK <version> <n> <set>:<score> ...      complete answer
@@ -96,10 +96,8 @@ struct ServerOptions {
 /// below for tests.
 class Server {
  public:
-  /// Serve a read-only sharded back end (Q only; I answers ERR).
-  Server(const ShardedSelector* sharded, const ServerOptions& options);
-  /// Serve a read-write dynamic back end (Q and I).
-  Server(DynamicServing* dynamic, const ServerOptions& options);
+  /// Serves `backend` (borrowed; it must outlive the server).
+  Server(DynamicServing* backend, const ServerOptions& options);
   /// Shutdown() if still running.
   ~Server();
 
@@ -152,16 +150,12 @@ class Server {
   struct Conn;
   struct Request;
 
-  Server(const ShardedSelector* sharded, DynamicServing* dynamic,
-         const ServerOptions& options);
-
   void IoLoop();
   void HandleReadable(const std::shared_ptr<Conn>& conn);
   /// Parses and routes one request line (I/O thread).
   void HandleLine(const std::shared_ptr<Conn>& conn, std::string_view line);
   /// Executes one admitted request (worker thread).
   void Execute(const std::shared_ptr<Conn>& conn, const Request& req);
-  QueryResult RunQuery(const Request& req, const SelectOptions& options) const;
 
   /// Appends a response line and (worker) queues the flush or (I/O thread)
   /// flushes inline.
@@ -173,8 +167,7 @@ class Server {
   void AcceptNew();
   bool DrainComplete();
 
-  const ShardedSelector* sharded_ = nullptr;
-  DynamicServing* dynamic_ = nullptr;
+  DynamicServing* backend_;
   ServerOptions options_;
   uint16_t port_ = 0;
 

@@ -22,11 +22,14 @@ struct SpanKernels {
   const char* name;
 
   /// out[i] = first + deltas[0] + ... + deltas[i], with wrapping uint32
-  /// adds (deltas are zigzag-decoded two's-complement values). This is the
-  /// block delta-decode: the codec parses varints into `deltas` and one
-  /// prefix-sum pass materializes absolute ids.
-  void (*delta_prefix_sum_u32)(uint32_t first, const uint32_t* deltas,
-                               size_t n, uint32_t* out);
+  /// adds (deltas are zigzag-decoded two's-complement values), and returns
+  /// the largest value written (0 when n == 0). This is the block
+  /// delta-decode: the codec parses varints into `deltas` and one
+  /// prefix-sum pass materializes absolute ids; the returned maximum lets
+  /// the store bound-check a block without a second pass (a corrupt block
+  /// can wrap, so the last id need not be the largest).
+  uint32_t (*delta_prefix_sum_u32)(uint32_t first, const uint32_t* deltas,
+                                   size_t n, uint32_t* out);
 
   /// out[i] = bit_cast<float>(base_bits + deltas[i]) — the length half of
   /// the block decode (bit-packed deltas over IEEE-754 bit patterns).

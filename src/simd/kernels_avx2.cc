@@ -26,9 +26,10 @@ inline __m256i PrefixSum8(__m256i x) {
   return _mm256_add_epi32(x, low_total);
 }
 
-void DeltaPrefixSumU32(uint32_t first, const uint32_t* deltas, size_t n,
-                       uint32_t* out) {
+uint32_t DeltaPrefixSumU32(uint32_t first, const uint32_t* deltas, size_t n,
+                           uint32_t* out) {
   __m256i carry = _mm256_set1_epi32(static_cast<int>(first));
+  __m256i vmax = _mm256_setzero_si256();
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     __m256i x =
@@ -36,13 +37,18 @@ void DeltaPrefixSumU32(uint32_t first, const uint32_t* deltas, size_t n,
     x = PrefixSum8(x);
     x = _mm256_add_epi32(x, carry);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), x);
+    vmax = _mm256_max_epu32(vmax, x);
     carry = _mm256_permutevar8x32_epi32(x, _mm256_set1_epi32(7));
   }
+  uint32_t max = x86::HorizontalMaxU32(_mm_max_epu32(
+      _mm256_castsi256_si128(vmax), _mm256_extracti128_si256(vmax, 1)));
   uint32_t run = i == 0 ? first : out[i - 1];
   for (; i < n; ++i) {
     run += deltas[i];
     out[i] = run;
+    max = run > max ? run : max;
   }
+  return max;
 }
 
 void BitsAddBaseF32(const uint32_t* deltas, size_t n, uint32_t base_bits,

@@ -7,13 +7,16 @@ namespace {
 // Kept branch-light but deliberately simple: this is the implementation the
 // parity suite trusts and the SIMSEL_FORCE_SCALAR escape hatch runs.
 
-void DeltaPrefixSumU32(uint32_t first, const uint32_t* deltas, size_t n,
-                       uint32_t* out) {
+uint32_t DeltaPrefixSumU32(uint32_t first, const uint32_t* deltas, size_t n,
+                           uint32_t* out) {
   uint32_t run = first;
+  uint32_t max = 0;
   for (size_t i = 0; i < n; ++i) {
     run += deltas[i];  // wrapping uint32 add
     out[i] = run;
+    max = run > max ? run : max;
   }
+  return max;
 }
 
 void BitsAddBaseF32(const uint32_t* deltas, size_t n, uint32_t base_bits,

@@ -14,22 +14,27 @@
 namespace simsel::simd {
 namespace {
 
-void DeltaPrefixSumU32(uint32_t first, const uint32_t* deltas, size_t n,
-                       uint32_t* out) {
+uint32_t DeltaPrefixSumU32(uint32_t first, const uint32_t* deltas, size_t n,
+                           uint32_t* out) {
   __m128i carry = _mm_set1_epi32(static_cast<int>(first));
+  __m128i vmax = _mm_setzero_si128();
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(deltas + i));
     x = x86::PrefixSum4(x);
     x = _mm_add_epi32(x, carry);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), x);
+    vmax = _mm_max_epu32(vmax, x);
     carry = _mm_shuffle_epi32(x, _MM_SHUFFLE(3, 3, 3, 3));
   }
+  uint32_t max = x86::HorizontalMaxU32(vmax);
   uint32_t run = i == 0 ? first : out[i - 1];
   for (; i < n; ++i) {
     run += deltas[i];
     out[i] = run;
+    max = run > max ? run : max;
   }
+  return max;
 }
 
 void BitsAddBaseF32(const uint32_t* deltas, size_t n, uint32_t base_bits,

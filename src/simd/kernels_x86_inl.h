@@ -20,6 +20,13 @@ static inline __m128i PrefixSum4(__m128i x) {
   return x;
 }
 
+/// Largest of the 4 uint32 lanes (unsigned compare, pmaxud).
+static inline uint32_t HorizontalMaxU32(__m128i x) {
+  x = _mm_max_epu32(x, _mm_shuffle_epi32(x, _MM_SHUFFLE(1, 0, 3, 2)));
+  x = _mm_max_epu32(x, _mm_shuffle_epi32(x, _MM_SHUFFLE(2, 3, 0, 1)));
+  return static_cast<uint32_t>(_mm_cvtsi128_si32(x));
+}
+
 /// 4x4 tile sorted-set intersection (strictly-ascending inputs): compare
 /// one block of a against every rotation of one block of b, emit matching
 /// a-lane positions in ascending order, advance whichever block has the

@@ -69,7 +69,8 @@ void EncodePostingBlock(const uint32_t* ids, const float* lens, size_t count,
 
 bool DecodePostingBlock(const uint8_t* data, size_t size, size_t max_count,
                         uint32_t* ids, float* lens, size_t* count,
-                        size_t* consumed, BlockDecodeScratch* scratch) {
+                        size_t* consumed, BlockDecodeScratch* scratch,
+                        uint32_t* max_id) {
   const uint8_t* p = data;
   const uint8_t* end = data + size;
   uint32_t n32;
@@ -79,6 +80,7 @@ bool DecodePostingBlock(const uint8_t* data, size_t size, size_t max_count,
   *count = n;
   if (n == 0) {
     *consumed = static_cast<size_t>(p - data);
+    if (max_id != nullptr) *max_id = 0;
     return true;
   }
 
@@ -94,7 +96,9 @@ bool DecodePostingBlock(const uint8_t* data, size_t size, size_t max_count,
     scratch->deltas[i] = static_cast<uint32_t>(ZigzagDecode32(zz));
   }
   const simd::SpanKernels& kernels = simd::Kernels();
-  kernels.delta_prefix_sum_u32(first_id, scratch->deltas.data(), n, ids);
+  const uint32_t largest =
+      kernels.delta_prefix_sum_u32(first_id, scratch->deltas.data(), n, ids);
+  if (max_id != nullptr) *max_id = largest;
 
   // Lengths: unpack the fixed-width deltas, then SIMD add-base + bitcast.
   if (end - p < 5) return false;

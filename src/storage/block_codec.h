@@ -129,12 +129,14 @@ void EncodePostingBlock(const uint32_t* ids, const float* lens, size_t count,
 
 /// Decodes one block from [data, data+size). On success writes `*count`
 /// (<= max_count) postings to ids/lens, sets `*consumed` to the bytes read,
-/// and returns true. Returns false on truncated or malformed input or a
-/// count above max_count (nothing is written past max_count). `scratch`
-/// provides the delta staging; its cache fields are not touched.
+/// sets `*max_id` (when non-null) to the largest id decoded (0 for an empty
+/// block), and returns true. Returns false on truncated or malformed input
+/// or a count above max_count (nothing is written past max_count).
+/// `scratch` provides the delta staging; its cache fields are not touched.
 bool DecodePostingBlock(const uint8_t* data, size_t size, size_t max_count,
                         uint32_t* ids, float* lens, size_t* count,
-                        size_t* consumed, BlockDecodeScratch* scratch);
+                        size_t* consumed, BlockDecodeScratch* scratch,
+                        uint32_t* max_id = nullptr);
 
 }  // namespace simsel
 

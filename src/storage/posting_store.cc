@@ -8,16 +8,6 @@
 #include "storage/codec.h"
 
 namespace simsel {
-namespace {
-
-bool IdsBelow(const uint32_t* ids, size_t n, size_t limit) {
-  uint32_t max_id = 0;
-  for (size_t i = 0; i < n; ++i) max_id = std::max(max_id, ids[i]);
-  return n == 0 || max_id < limit;
-}
-
-}  // namespace
-
 PostingStore PostingStore::Build(const InvertedIndex& index,
                                  size_t page_bytes) {
   if (page_bytes == 0) page_bytes = index.options().page_bytes;
@@ -120,12 +110,13 @@ size_t PostingStore::ReadBlock(uint32_t token, size_t first, size_t count,
           (b == 0 ? 0 : blk_ends_[base + b - 1]) - bytes_begin;
       const uint64_t be = blk_ends_[base + b] - bytes_begin;
       size_t got = 0, consumed = 0;
+      uint32_t max_id = 0;
       const bool ok =
           DecodePostingBlock(scratch->raw.data() + bs, be - bs, blk_count,
                              scratch->ids.data(), scratch->lens.data(), &got,
-                             &consumed, scratch) &&
+                             &consumed, scratch, &max_id) &&
           got == blk_count && consumed == be - bs &&
-          IdsBelow(scratch->ids.data(), got, id_limit_);
+          (got == 0 || max_id < id_limit_);
       if (!ok) {
         // PagedFile's checksum is no MAC: a hostile image can pass Load
         // with undecodable blocks or out-of-range ids. A caller with a

@@ -240,7 +240,7 @@ struct VersionedTruth {
 
 VersionedTruth BuildTruth(const std::vector<std::string>& base,
                           const std::vector<std::string>& script,
-                          const DynamicSelector::Options& options,
+                          const BuildOptions& options,
                           double tau) {
   VersionedTruth truth;
   for (size_t i = 0; i < 8; ++i) truth.queries.push_back(base[i * 9]);
@@ -257,11 +257,11 @@ VersionedTruth BuildTruth(const std::vector<std::string>& base,
   return truth;
 }
 
-class DynamicSoakParam : public ::testing::TestWithParam<bool> {};
-
-TEST_P(DynamicSoakParam, ConcurrentReadersAndWriterMatchSerial) {
-  DynamicSelector::Options options;
-  options.disk_mode = GetParam();
+// Four readers race one writer; every read must equal the serial replay at
+// its snapshot_version. `pool` (may be null) runs the main part's segment
+// fan-out.
+void ExpectReadersMatchVersionedReplay(const BuildOptions& options,
+                                       ThreadPool* pool) {
   const double tau = 0.7;
   const std::vector<std::string> base = BaseRecords();
   const std::vector<std::string> script =
@@ -269,6 +269,7 @@ TEST_P(DynamicSoakParam, ConcurrentReadersAndWriterMatchSerial) {
   const VersionedTruth truth = BuildTruth(base, script, options, tau);
 
   DynamicSelector dyn(base, options);
+  dyn.set_thread_pool(pool);
   std::atomic<bool> done{false};
   std::atomic<uint64_t> checked{0};
   std::vector<std::string> failures(4);
@@ -314,11 +315,28 @@ TEST_P(DynamicSoakParam, ConcurrentReadersAndWriterMatchSerial) {
   EXPECT_EQ(dyn.size(), base.size() + script.size());
 }
 
+class DynamicSoakParam : public ::testing::TestWithParam<bool> {};
+
+TEST_P(DynamicSoakParam, ConcurrentReadersAndWriterMatchSerial) {
+  BuildOptions options;
+  options.disk_mode = GetParam();
+  ExpectReadersMatchVersionedReplay(options, nullptr);
+}
+
+// The same replay over a main part of three segments whose fan-out runs on
+// a pool, so the scatter's workers race the writer too.
+TEST(DynamicSoakTest, ThreeSegmentReadersAndWriterMatchSerial) {
+  BuildOptions options;
+  options.num_segments = 3;
+  ThreadPool pool(2);
+  ExpectReadersMatchVersionedReplay(options, &pool);
+}
+
 TEST_P(DynamicSoakParam, QueriesInFlightAcrossRebuildMatchPreOrPost) {
   // Acceptance criterion: a query in flight across the Rebuild swap is
   // byte-identical to EITHER the pre- or the post-rebuild serial answer —
   // never a hybrid — and its snapshot_version says which.
-  DynamicSelector::Options options;
+  BuildOptions options;
   options.disk_mode = GetParam();
   const double tau = 0.7;
   const std::vector<std::string> base = BaseRecords();
@@ -391,7 +409,7 @@ TEST_P(DynamicSoakParam, FullChaosAddSelectRebuildThenExactConvergence) {
   // that hold at every version (sound ids, sorted order, monotone version);
   // after quiescing and a final fold, results must be byte-identical to a
   // fresh serial build over the full record set.
-  DynamicSelector::Options options;
+  BuildOptions options;
   options.disk_mode = GetParam();
   const double tau = 0.7;
   const std::vector<std::string> base = BaseRecords();
@@ -502,7 +520,7 @@ TEST(DynamicServingTest, ConcurrentCachedReadsNeverServeStaleResults) {
   const std::vector<std::string> script =
       testing_util::MakeWordRecords(60, /*seed=*/853);
   const VersionedTruth truth =
-      BuildTruth(base, script, options.selector, tau);
+      BuildTruth(base, script, options.build, tau);
 
   serve::DynamicServing serving(base, options);
   std::atomic<bool> done{false};

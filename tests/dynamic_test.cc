@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
+#include <tuple>
 
+#include "common/thread_pool.h"
 #include "core/dynamic.h"
 #include "obs/metrics_registry.h"
 #include "storage/fault_injector.h"
@@ -350,7 +353,7 @@ TEST(DynamicSelectorTest, VersionMonotoneAcrossRebuild) {
 TEST(DynamicSelectorTest, DiskModeMatchesMemoryMode) {
   std::vector<std::string> base = BaseRecords();
   DynamicSelector mem(base);
-  DynamicSelector::Options options;
+  BuildOptions options;
   options.disk_mode = true;
   DynamicSelector disk(base, options);
   for (int i = 0; i < 10; ++i) {
@@ -368,6 +371,128 @@ TEST(DynamicSelectorTest, DiskModeMatchesMemoryMode) {
     QueryResult a = mem.Select(base[i * 7], 0.7);
     QueryResult b = disk.Select(base[i * 7], 0.7);
     testing_util::ExpectSameMatches(a.matches, b.matches, base[i * 7]);
+  }
+}
+
+// A dynamic index over K segments answers exactly like the one-segment
+// dynamic index — before any insert, with a live delta and after Rebuild —
+// and after Rebuild exactly like a fresh selector over every record, for
+// every algorithm with a segment form, in memory and on disk.
+class DynamicSegmentParityTest
+    : public ::testing::TestWithParam<std::tuple<size_t, bool>> {};
+
+TEST_P(DynamicSegmentParityTest, KSegmentsEqualOneSegment) {
+  const auto [segments, disk] = GetParam();
+  const std::vector<std::string> base = BaseRecords();
+  const std::vector<std::string> inserts =
+      testing_util::MakeWordRecords(50, /*seed=*/709);
+  std::vector<std::string> queries =
+      testing_util::MakeQueries(base, 6, /*seed=*/711);
+  queries.push_back(inserts[4]);
+  queries.push_back(inserts[41]);
+
+  BuildOptions options;
+  options.num_segments = segments;
+  options.disk_mode = disk;
+  if (disk) options.pool_pages = 64;
+  DynamicSelector one(base);
+  DynamicSelector many(base, options);
+  ThreadPool pool(2);
+  many.set_thread_pool(&pool);
+  ASSERT_EQ(many.snapshot().main().num_segments(), segments);
+
+  constexpr AlgorithmKind kKinds[] = {
+      AlgorithmKind::kLinearScan, AlgorithmKind::kSortById,
+      AlgorithmKind::kTa,         AlgorithmKind::kNra,
+      AlgorithmKind::kIta,        AlgorithmKind::kInra,
+      AlgorithmKind::kSf,         AlgorithmKind::kHybrid,
+      AlgorithmKind::kPrefixFilter};
+  SelectOptions budget;
+  budget.control.max_elements_read = 1;
+  auto check = [&](const std::string& point,
+                   const SimilaritySelector* fresh) {
+    for (AlgorithmKind kind : kKinds) {
+      for (const std::string& query : queries) {
+        for (double tau : {0.5, 0.8}) {
+          const std::string context = point + " " + AlgorithmKindName(kind) +
+                                      " tau=" + std::to_string(tau) +
+                                      " q=\"" + query + "\"";
+          const QueryResult expected = one.Select(query, tau, kind);
+          const QueryResult actual = many.Select(query, tau, kind);
+          ASSERT_TRUE(actual.complete()) << context;
+          ASSERT_EQ(actual.matches.size(), expected.matches.size())
+              << context;
+          for (size_t i = 0; i < actual.matches.size(); ++i) {
+            EXPECT_EQ(actual.matches[i].id, expected.matches[i].id)
+                << context;
+            EXPECT_EQ(std::bit_cast<uint64_t>(actual.matches[i].score),
+                      std::bit_cast<uint64_t>(expected.matches[i].score))
+                << context << " id " << actual.matches[i].id;
+          }
+          if (fresh != nullptr) {
+            const QueryResult rebuilt = fresh->Select(query, tau, kind);
+            ASSERT_EQ(actual.matches.size(), rebuilt.matches.size())
+                << context << " vs fresh build";
+            for (size_t i = 0; i < actual.matches.size(); ++i) {
+              EXPECT_EQ(actual.matches[i].id, rebuilt.matches[i].id)
+                  << context << " vs fresh build";
+              EXPECT_EQ(std::bit_cast<uint64_t>(actual.matches[i].score),
+                        std::bit_cast<uint64_t>(rebuilt.matches[i].score))
+                  << context << " vs fresh build";
+            }
+          }
+          testing_util::ExpectSoundPartial(
+              expected, many.Select(query, tau, kind, budget),
+              context + " budget");
+        }
+      }
+    }
+  };
+
+  check("no inserts", nullptr);
+  for (const std::string& record : inserts) {
+    ASSERT_EQ(one.AddRecord(record), many.AddRecord(record));
+  }
+  ASSERT_EQ(many.delta_size(), inserts.size());
+  check("50 inserts", nullptr);
+  one.Rebuild();
+  many.Rebuild();
+  ASSERT_EQ(many.delta_size(), 0u);
+  ASSERT_EQ(many.snapshot().main().num_segments(), segments);
+  std::vector<std::string> all = base;
+  all.insert(all.end(), inserts.begin(), inserts.end());
+  const SimilaritySelector fresh = SimilaritySelector::Build(all);
+  check("rebuilt", &fresh);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Segments, DynamicSegmentParityTest,
+    ::testing::Combine(::testing::Values(size_t{1}, size_t{3}, size_t{8}),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      std::string name = "K";
+      name += std::to_string(std::get<0>(info.param));
+      name += std::get<1>(info.param) ? "Disk" : "Memory";
+      return name;
+    });
+
+// The delta is sketched and screened with segment 0's tier, which is sound
+// only because every segment is built with one sketch family.
+TEST(DynamicSelectorTest, SketchedSegmentsShareOneFamily) {
+  BuildOptions options;
+  options.num_segments = 3;
+  options.index.build_sketches = true;
+  DynamicSelector dyn(BaseRecords(), options);
+  DynamicSelector::Snapshot snap = dyn.snapshot();
+  const SimilaritySelector& main = snap.main();
+  ASSERT_EQ(main.num_segments(), 3u);
+  ASSERT_NE(main.prefilter(), nullptr);
+  for (size_t i = 0; i < main.num_segments(); ++i) {
+    const sketch::Prefilter* tier = main.segment(i).prefilter.get();
+    ASSERT_NE(tier, nullptr) << "segment " << i;
+    EXPECT_EQ(tier->params().k, main.prefilter()->params().k);
+    EXPECT_EQ(tier->params().seed, main.prefilter()->params().seed);
+    EXPECT_EQ(tier->seeds(), main.prefilter()->seeds()) << "segment " << i;
   }
 }
 

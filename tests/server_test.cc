@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,7 +16,6 @@
 #include "gen/load.h"
 #include "serve/dynamic_serving.h"
 #include "serve/server.h"
-#include "serve/sharded_selector.h"
 #include "test_util.h"
 
 namespace simsel {
@@ -23,19 +23,22 @@ namespace {
 
 using load::Client;
 using load::Response;
+using serve::DynamicServing;
+using serve::DynamicServingOptions;
 using serve::Server;
 using serve::ServerOptions;
-using serve::ShardedSelector;
-using serve::ShardedSelectorOptions;
 using testing_util::MakeQueries;
 using testing_util::MakeWordRecords;
 
-ShardedSelectorOptions SmallServe(size_t shards) {
-  ShardedSelectorOptions o;
-  o.num_shards = shards;
+// A dynamic back end whose main part spans `segments` segments; `pool`
+// (may be null) runs the fan-out and rebuilds.
+DynamicServingOptions SmallServe(size_t segments, ThreadPool* pool = nullptr) {
+  DynamicServingOptions o;
+  o.build.num_segments = segments;
   o.build.tokenizer.q = 3;
   o.build.index.page_bytes = 512;
   o.build.index.hash_page_bytes = 256;
+  o.pool = pool;
   return o;
 }
 
@@ -53,8 +56,9 @@ Response RoundTrip(Client* client, const std::string& line) {
 // bit-identical to the server-side doubles (%.17g round-trip).
 TEST(ServerTest, ResultsAreByteIdenticalToDirectSelector) {
   std::vector<std::string> records = MakeWordRecords(120, 7);
-  ShardedSelector sharded = ShardedSelector::Build(records, SmallServe(3));
-  Server server(&sharded, ServerOptions{});
+  ThreadPool pool(2);
+  DynamicServing serving(records, SmallServe(3, &pool));
+  Server server(&serving, ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
 
   Client client;
@@ -65,7 +69,7 @@ TEST(ServerTest, ResultsAreByteIdenticalToDirectSelector) {
        {AlgorithmKind::kSf, AlgorithmKind::kInra, AlgorithmKind::kHybrid}) {
     for (const std::string& q : queries) {
       for (double tau : {0.5, 0.8}) {
-        QueryResult direct = sharded.Select(q, tau, kind);
+        QueryResult direct = serving.Select(q, tau, kind);
         Response r = RoundTrip(
             &client, load::FormatQuery("q", "-", tau, kind, q));
         ASSERT_EQ(r.kind, Response::Kind::kOk) << r.reason;
@@ -92,10 +96,10 @@ TEST(ServerTest, ResultsAreByteIdenticalToDirectSelector) {
 
 TEST(ServerTest, TenantBudgetsYieldPartialWithBudgetReason) {
   std::vector<std::string> records = MakeWordRecords(150, 21);
-  ShardedSelector sharded = ShardedSelector::Build(records, SmallServe(2));
+  DynamicServing serving(records, SmallServe(2));
   ServerOptions so;
   so.tenant_budgets["metered"] = 1;  // trips on the first element read
-  Server server(&sharded, so);
+  Server server(&serving, so);
   ASSERT_TRUE(server.Start().ok());
 
   Client client;
@@ -118,14 +122,14 @@ TEST(ServerTest, TenantBudgetsYieldPartialWithBudgetReason) {
 
 TEST(ServerTest, MalformedLinesGetErrNotDisconnect) {
   std::vector<std::string> records = MakeWordRecords(40, 3);
-  ShardedSelector sharded = ShardedSelector::Build(records, SmallServe(2));
-  Server server(&sharded, ServerOptions{});
+  DynamicServing serving(records, SmallServe(2));
+  Server server(&serving, ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
   for (const char* bad :
        {"x Q - notanumber sf hello", "y Q - 0.5 nosuchalgo hello",
-        "z WHAT", "w I - insert against read-only backend"}) {
+        "z WHAT"}) {
     Response r = RoundTrip(&client, bad);
     EXPECT_EQ(r.kind, Response::Kind::kError) << bad;
   }
@@ -136,18 +140,18 @@ TEST(ServerTest, MalformedLinesGetErrNotDisconnect) {
   EXPECT_EQ(ok.kind, Response::Kind::kOk);
   client.Close();
   server.Shutdown();
-  EXPECT_EQ(server.error_count(), 4u);
+  EXPECT_EQ(server.error_count(), 3u);
 }
 
 // A pipelined burst far past max_queue must shed (distinct SHED status,
 // counted), and every request still gets exactly one response.
 TEST(ServerTest, OverloadShedsAtTheQueueBound) {
   std::vector<std::string> records = MakeWordRecords(200, 13);
-  ShardedSelector sharded = ShardedSelector::Build(records, SmallServe(2));
+  DynamicServing serving(records, SmallServe(2));
   ServerOptions so;
   so.num_workers = 1;
   so.max_queue = 4;
-  Server server(&sharded, so);
+  Server server(&serving, so);
   ASSERT_TRUE(server.Start().ok());
 
   Client client;
@@ -195,11 +199,11 @@ TEST(ServerTest, OverloadShedsAtTheQueueBound) {
 // none vanish — and the system drains to zero depth.
 TEST(ServerTest, DrainAnswersEveryInFlightRequest) {
   std::vector<std::string> records = MakeWordRecords(120, 31);
-  ShardedSelector sharded = ShardedSelector::Build(records, SmallServe(2));
+  DynamicServing serving(records, SmallServe(2));
   ServerOptions so;
   so.num_workers = 2;
   so.max_queue = 0;  // unlimited: admission must not mask drops
-  Server server(&sharded, so);
+  Server server(&serving, so);
   ASSERT_TRUE(server.Start().ok());
 
   constexpr int kClients = 3;
@@ -326,6 +330,155 @@ TEST(ServerTest, AdmittedP99StaysWithinDeadlineUnderOverload) {
   ASSERT_GT(lat.count, 0u);
   const double slo_usec = static_cast<double>(so.deadline_ms) * 1000.0;
   EXPECT_LE(lat.Quantile(0.99), slo_usec + 300'000.0);
+}
+
+// Every server accepts inserts, whatever the segment count: a record
+// inserted over the wire into a three-segment back end is found by the next
+// query, and each wire answer equals the in-process answer at the same
+// version byte for byte.
+TEST(ServerTest, WireInsertsIntoThreeSegmentsAreVisibleToTheNextQuery) {
+  std::vector<std::string> records = MakeWordRecords(150, 41);
+  // Copies of indexed records: tokens the frozen dictionary has never seen
+  // cannot match, so a copy is what a query is sure to find in the delta.
+  std::vector<std::string> inserts;
+  for (size_t i = 0; i < 12; ++i) inserts.push_back(records[i * 11]);
+  ThreadPool pool(2);
+  DynamicServing serving(records, SmallServe(3, &pool));
+  ASSERT_EQ(serving.selector().snapshot().main().num_segments(), 3u);
+  Server server(&serving, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  for (size_t i = 0; i < inserts.size(); ++i) {
+    Response ins = RoundTrip(
+        &client, load::FormatInsert("i" + std::to_string(i), "-", inserts[i]));
+    ASSERT_EQ(ins.kind, Response::Kind::kInsert) << ins.reason;
+    EXPECT_EQ(ins.insert_id, records.size() + i);
+    EXPECT_EQ(ins.version, serving.version());
+    for (AlgorithmKind kind : {AlgorithmKind::kSf, AlgorithmKind::kInra,
+                               AlgorithmKind::kLinearScan}) {
+      Response r = RoundTrip(
+          &client, load::FormatQuery("q", "-", 0.8, kind, inserts[i]));
+      ASSERT_EQ(r.kind, Response::Kind::kOk) << r.reason;
+      bool found = false;
+      for (const Response::ScoredId& m : r.matches) {
+        found |= m.id == ins.insert_id;
+      }
+      EXPECT_TRUE(found) << "insert " << i << " not visible";
+      // No writer runs between the wire query and this one, so both answer
+      // at one version.
+      QueryResult direct = serving.Select(inserts[i], 0.8, kind);
+      ASSERT_EQ(r.version, direct.snapshot_version);
+      ASSERT_EQ(r.matches.size(), direct.matches.size());
+      for (size_t m = 0; m < r.matches.size(); ++m) {
+        EXPECT_EQ(r.matches[m].id, direct.matches[m].id);
+        EXPECT_EQ(r.matches[m].score, direct.matches[m].score);
+      }
+    }
+  }
+  client.Close();
+  server.Shutdown();
+  EXPECT_EQ(server.insert_count(), inserts.size());
+  EXPECT_EQ(server.error_count(), 0u);
+}
+
+// Hostile input to the request-line parser: seeded byte mutations of valid
+// Q, I and PING lines — flipped, inserted and deleted bytes, NULs, carriage
+// returns, runs of spaces, 300-digit taus — pipelined over one connection.
+// The server must answer every non-empty line exactly once, count every ERR
+// it sends, and still answer PING afterwards.
+TEST(ServerTest, MutatedRequestLinesGetOneResponseEach) {
+  std::vector<std::string> records = MakeWordRecords(60, 47);
+  DynamicServing serving(records, SmallServe(2));
+  ServerOptions so;
+  so.max_queue = 0;  // no SHED: every admitted line executes
+  Server server(&serving, so);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::mt19937 rng(20261019);
+  auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng() % std::max<size_t>(n, 1));
+  };
+  const std::string digits300 = "1" + std::string(299, '0');
+  const std::string tiny300 = "0." + std::string(297, '0') + "1";
+  const char kSpecial[] = {'\0', '\r', ' ', '\t', '\x7f', '\xff', 'Q', 'I'};
+  std::vector<std::string> lines;
+  for (int i = 0; i < 400; ++i) {
+    std::string line;
+    switch (i % 4) {
+      case 0:
+        line = load::FormatQuery("q" + std::to_string(i), "-", 0.6,
+                                 AlgorithmKind::kSf, records[pick(60)]);
+        break;
+      case 1:
+        line = load::FormatInsert("i" + std::to_string(i), "-",
+                                  records[pick(60)]);
+        break;
+      case 2:
+        line = "p" + std::to_string(i) + " PING";
+        break;
+      default:
+        line = "t" + std::to_string(i) + " Q - " +
+               (pick(2) == 0 ? digits300 : tiny300) + " sf " +
+               records[pick(60)];
+        break;
+    }
+    const size_t edits = 1 + pick(3);
+    for (size_t e = 0; e < edits; ++e) {
+      const size_t at = pick(line.size() + 1);
+      switch (pick(4)) {
+        case 0:  // flip
+          if (at < line.size()) {
+            line[at] = static_cast<char>(line[at] ^ (1 + pick(255)));
+          }
+          break;
+        case 1:  // insert
+          line.insert(at, 1, kSpecial[pick(sizeof(kSpecial))]);
+          break;
+        case 2:  // delete
+          if (at < line.size()) line.erase(at, 1);
+          break;
+        default:  // run of spaces
+          line.insert(at, 1 + pick(6), ' ');
+          break;
+      }
+    }
+    // A newline would split the line in two; keep the framing ours.
+    for (char& c : line) {
+      if (c == '\n') c = '\0';
+    }
+    lines.push_back(std::move(line));
+  }
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  size_t expected = 0;
+  for (const std::string& line : lines) {
+    ASSERT_TRUE(client.SendLine(line).ok());
+    // The server strips one trailing '\r' and ignores empty lines.
+    const size_t body =
+        !line.empty() && line.back() == '\r' ? line.size() - 1 : line.size();
+    expected += body > 0;
+  }
+  uint64_t errors = 0;
+  for (size_t i = 0; i < expected; ++i) {
+    std::string reply;
+    bool timed_out = false;
+    ASSERT_TRUE(client.ReadLine(&reply, 30000, &timed_out).ok())
+        << "response " << i << " of " << expected
+        << (timed_out ? " timed out" : " failed");
+    const size_t space = reply.find(' ');
+    ASSERT_NE(space, std::string::npos) << reply;
+    errors += reply.compare(space + 1, 4, "ERR ") == 0;
+  }
+  Response pong = RoundTrip(&client, "last PING");
+  EXPECT_EQ(pong.kind, Response::Kind::kPong);
+  client.Close();
+  server.Shutdown();
+  EXPECT_GT(errors, 0u);
+  EXPECT_EQ(server.error_count(), errors);
+  EXPECT_EQ(server.queue_depth(), 0u);
 }
 
 }  // namespace

@@ -70,6 +70,39 @@ TEST(SimdKernelsTest, DeltaPrefixSumParity) {
   }
 }
 
+// The returned maximum is what the store bound-checks a decoded block
+// with, so every variant must report the scalar maximum, including across
+// vector-width boundaries and when the prefix sum wraps past 2^32 - 1.
+TEST(SimdKernelsTest, DeltaPrefixSumMaxParity) {
+  std::mt19937 rng(20261019);
+  for (const SpanKernels* k : AvailableVariants()) {
+    SCOPED_TRACE(k->name);
+    for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                     size_t{128}}) {
+      std::vector<uint32_t> ascending(n), wrapping(n), random(n);
+      for (size_t i = 0; i < n; ++i) {
+        ascending[i] = i == 0 ? 0u : 1u + (rng() & 3u);
+        wrapping[i] = i % 3 == 2 ? 7u : 1u;  // crosses 2^32 - 1 mid-block
+        random[i] = rng();
+      }
+      for (const std::vector<uint32_t>* deltas :
+           {&ascending, &wrapping, &random}) {
+        for (uint32_t first : {0u, 0xFFFFFF00u, 0xFFFFFFF8u, 0xFFFFFFFFu}) {
+          std::vector<uint32_t> out(n);
+          const uint32_t expect = ScalarKernels().delta_prefix_sum_u32(
+              first, deltas->data(), n, out.data());
+          const uint32_t got =
+              k->delta_prefix_sum_u32(first, deltas->data(), n, out.data());
+          const uint32_t written =
+              n == 0 ? 0u : *std::max_element(out.begin(), out.end());
+          EXPECT_EQ(expect, written) << "n=" << n << " first=" << first;
+          EXPECT_EQ(got, expect) << "n=" << n << " first=" << first;
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdKernelsTest, BitsAddBaseParity) {
   std::mt19937 rng(7);
   for (const SpanKernels* k : AvailableVariants()) {
