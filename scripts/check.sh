@@ -25,13 +25,14 @@
 #      one shared index/store/pool, serving_test's scatter-gather +
 #      result-cache soak, dynamic_concurrency_test's readers x writer
 #      x online-Rebuild soak on one DynamicSelector (epoch reclamation,
-#      delta publish, segment swap), server_test's live-socket
-#      integration tests (admission, drain, SLO), and
-#      prefilter_parity_test's concurrent mixed on/off readers against a
-#      live writer (the sketch tier's exactness claim under races) — must
-#      produce zero race reports (build-tsan/).
+#      delta publish, segment swap) and its sketch-tier on/off readers
+#      against a live writer, server_test's live-socket integration tests
+#      (admission, drain, SLO), and oracle_test's pooled segment fan-outs
+#      (the differential oracle over every configuration) — must produce
+#      zero race reports (build-tsan/).
 #   6. UndefinedBehaviorSanitizer: the codec / SIMD-kernel / store tests
-#      under -fsanitize=undefined with non-recoverable reports
+#      and oracle_test, which runs every algorithm over v2/v3/v4 image
+#      round trips, under -fsanitize=undefined with non-recoverable reports
 #      (build-ubsan/) — the block codec's bit packing and the per-variant
 #      kernels are exactly where UB (shifts, misaligned loads, overflow)
 #      would hide.
@@ -118,9 +119,9 @@ cmake -B build-ubsan -S . -DSIMSEL_WERROR=ON -DSIMSEL_ENABLE_UBSAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-ubsan -j "$jobs" \
       --target codec_test simd_kernels_test posting_store_test \
-               index_version_test
+               index_version_test oracle_test
 ctest --test-dir build-ubsan --output-on-failure -j "$jobs" \
-      -R 'codec_test|simd_kernels_test|posting_store_test|index_version_test'
+      -R 'codec_test|simd_kernels_test|posting_store_test|index_version_test|oracle_test'
 
 echo "== check.sh leg 7/11: network serving smoke (bench_ycsb under ASan) =="
 cmake --build build-asan -j "$jobs" --target bench_ycsb

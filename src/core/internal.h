@@ -47,7 +47,15 @@ inline double ClampTau(double tau) {
 /// upper < tau * (1 - slack).
 inline double PruneThreshold(double tau) { return tau * (1.0 - kPruneSlack); }
 
-/// The Theorem 1 length window, slightly widened by the same slack.
+/// Relative slack of the Theorem 1 window's lower bound. A set length is a
+/// float, rounded from √Σidf² by up to 2^-24, so a subset of the query
+/// scoring exactly τ can lie 2^-23 below τ·len(q); a 1e-9 slack dropped it.
+/// The upper bound needs no more than kPruneSlack: a set's score is at most
+/// len(q)/len(s) whatever its length's rounding.
+constexpr double kLengthSlack = 0x1p-23 + kPruneSlack;
+
+/// The Theorem 1 length window, widened by kLengthSlack below and
+/// kPruneSlack above.
 struct LengthWindow {
   float lo = 0.0f;
   float hi = std::numeric_limits<float>::infinity();
@@ -59,7 +67,7 @@ inline LengthWindow ComputeLengthWindow(const PreparedQuery& q, double tau,
                                         bool enabled) {
   LengthWindow w;
   if (!enabled || tau <= 0.0) return w;
-  w.lo = static_cast<float>(tau * q.length * (1.0 - kPruneSlack));
+  w.lo = static_cast<float>(tau * q.length * (1.0 - kLengthSlack));
   w.hi = static_cast<float>(q.length / tau * (1.0 + kPruneSlack));
   return w;
 }

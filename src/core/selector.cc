@@ -251,22 +251,28 @@ Result<SimilaritySelector> SimilaritySelector::BuildWithSavedIndex(
       index.has_sketches() &&
       (index.sketch_begin() != 0 ||
        index.sketch_num_sets() != sel.collection_->size());
-  // Every posting must name a supplied set: the kernels index per-query
-  // tables by set id. Empty records add no postings, so the count check
-  // cannot tell where the postings point.
-  bool ids_in_range = true;
+  // Every posting must name a supplied set, with that set's length: the
+  // kernels index per-query tables by set id, and seek and score by the
+  // stored lengths (a NaN length stalls a cursor). Empty records add no
+  // postings, so the count check cannot tell where the postings point.
+  bool postings_match = true;
   const size_t num_sets = sel.collection_->size();
   for (TokenId t = 0; t < index.num_tokens(); ++t) {
-    for (const uint32_t* ids : {index.LenIds(t), index.IdIds(t)}) {
+    const std::pair<const uint32_t*, const float*> lists[] = {
+        {index.LenIds(t), index.LenLens(t)}, {index.IdIds(t), index.IdLens(t)}};
+    for (const auto& [ids, lens] : lists) {
       if (ids == nullptr) continue;
       for (size_t i = 0; i < index.ListSize(t); ++i) {
-        ids_in_range &= ids[i] < num_sets;
+        postings_match &= ids[i] < num_sets &&
+                          lens[i] == sel.measure_->set_length(ids[i]);
       }
     }
   }
+  // Validate() last: it checks the list orders and hashes the kernels rely
+  // on, which a hostile image with a recomputed checksum can break.
   if (index.total_postings() != expected ||
       index.num_tokens() != sel.collection_->dictionary().size() ||
-      sketch_mismatch || !ids_in_range) {
+      sketch_mismatch || !postings_match || !index.Validate()) {
     SIMSEL_LOG(kWarn) << "index at " << index_path
                       << " does not match the supplied records ("
                       << index.total_postings() << " postings, expected "

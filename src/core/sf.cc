@@ -129,7 +129,7 @@ struct TfIdfBound : NumeratorBound {
       max_db_tf = std::max(max_db_tf, measure.max_tf(q.tokens[i]));
     }
     w.lo = static_cast<float>(tau * q.length / mtfq *
-                              (1.0 - internal::kPruneSlack));
+                              (1.0 - internal::kLengthSlack));
     w.hi = static_cast<float>(max_db_tf * q.length / tau *
                               (1.0 + internal::kPruneSlack));
     return w;

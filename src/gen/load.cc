@@ -8,9 +8,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <thread>
@@ -42,14 +42,13 @@ bool NextToken(std::string_view* rest, std::string_view* token) {
   return !token->empty();
 }
 
-bool ParseU64(std::string_view token, uint64_t* out) {
-  std::string s(token);
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE) return false;
-  *out = v;
-  return true;
+// A number off the wire is the whole token: no whitespace, no '+', no sign
+// on a count or id, and no byte after it (a NUL included).
+template <class T>
+bool ParseNumber(std::string_view token, T* out) {
+  const char* end = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && stop == end;
 }
 
 uint64_t MicrosSince(Clock::time_point from, Clock::time_point to) {
@@ -278,8 +277,8 @@ bool ParseResponse(std::string_view line, Response* out) {
   if (kind == "INS") {
     std::string_view sid, sversion;
     if (!NextToken(&rest, &sid) || !NextToken(&rest, &sversion)) return false;
-    if (!ParseU64(sid, &out->insert_id) ||
-        !ParseU64(sversion, &out->version)) {
+    if (!ParseNumber(sid, &out->insert_id) ||
+        !ParseNumber(sversion, &out->version)) {
       return false;
     }
     out->kind = Response::Kind::kInsert;
@@ -298,7 +297,7 @@ bool ParseResponse(std::string_view line, Response* out) {
   std::string_view sversion, scount;
   if (!NextToken(&rest, &sversion) || !NextToken(&rest, &scount)) return false;
   uint64_t count = 0;
-  if (!ParseU64(sversion, &out->version) || !ParseU64(scount, &count)) {
+  if (!ParseNumber(sversion, &out->version) || !ParseNumber(scount, &count)) {
     return false;
   }
   // Each pair takes at least 3 bytes ("1:2") plus a separator, so a count
@@ -312,11 +311,8 @@ bool ParseResponse(std::string_view line, Response* out) {
     size_t colon = pair.find(':');
     if (colon == std::string_view::npos) return false;
     Response::ScoredId m;
-    if (!ParseU64(pair.substr(0, colon), &m.id)) return false;
-    std::string score(pair.substr(colon + 1));
-    char* end = nullptr;
-    m.score = std::strtod(score.c_str(), &end);
-    if (end == score.c_str() || *end != '\0') return false;
+    if (!ParseNumber(pair.substr(0, colon), &m.id)) return false;
+    if (!ParseNumber(pair.substr(colon + 1), &m.score)) return false;
     out->matches.push_back(m);
   }
   return rest.empty() && out->matches.size() == count;

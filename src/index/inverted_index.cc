@@ -5,6 +5,7 @@
 #include <memory>
 #include <numeric>
 #include <thread>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -143,7 +144,9 @@ InvertedIndex InvertedIndex::BuildRangeWithLengths(
 
 void InvertedIndex::BuildDerived() {
   const size_t num_tokens = offsets_.size() - 1;
-  SIMSEL_CHECK_MSG(options_.block_postings >= 1, "block_postings must be >= 1");
+  SIMSEL_CHECK_MSG(options_.block_postings >= 1 &&
+                       options_.block_postings <= kMaxBlockPostings,
+                   "block_postings must be in [1, kMaxBlockPostings]");
   hashes_.clear();
   // Block summaries in CSR layout: ceil(size / block) blocks per token.
   const size_t bp = options_.block_postings;
@@ -458,7 +461,10 @@ Result<InvertedIndex> InvertedIndex::Load(const std::string& path) {
   if (!GetFixed64(&dec, &page_bytes) ||
       !GetFixed64(&dec, &retired_skip_fanout) ||
       !GetFixed64(&dec, &hash_page_bytes) ||
-      !GetFixed64(&dec, &block_postings) || block_postings == 0 ||
+      !GetFixed64(&dec, &block_postings) || page_bytes < kMinPageBytes ||
+      page_bytes > kMaxPageBytes || hash_page_bytes < kMinPageBytes ||
+      hash_page_bytes > kMaxPageBytes || block_postings == 0 ||
+      block_postings > kMaxBlockPostings ||
       dec.remaining() < 3) {
     return Status::Corruption("truncated index options in: " + path);
   }
@@ -468,18 +474,28 @@ Result<InvertedIndex> InvertedIndex::Load(const std::string& path) {
   index.options_.build_id_lists = dec.data[dec.pos++] != 0;
   ++dec.pos;  // retired build_skip flag
   index.options_.build_hash = dec.data[dec.pos++] != 0;
+  // Every count below comes off the file, so each is bounded by the bytes
+  // left before it sizes anything: an offset is at least one varint byte
+  // and a posting at least one byte in either format. Offsets start at 0
+  // and never decrease, so every list lies inside [0, total).
   uint64_t num_offsets;
-  if (!GetFixed64(&dec, &num_offsets) || num_offsets == 0) {
+  if (!GetFixed64(&dec, &num_offsets) || num_offsets == 0 ||
+      num_offsets > dec.remaining()) {
     return Status::Corruption("bad offset table in: " + path);
   }
   index.offsets_.resize(num_offsets);
   for (uint64_t i = 0; i < num_offsets; ++i) {
-    if (!GetVarint64(&dec, &index.offsets_[i])) {
-      return Status::Corruption("truncated offsets in: " + path);
+    uint64_t& offset = index.offsets_[i];
+    if (!GetVarint64(&dec, &offset) ||
+        (i == 0 ? offset != 0 : offset < index.offsets_[i - 1])) {
+      return Status::Corruption("bad offsets in: " + path);
     }
   }
   const size_t num_tokens = num_offsets - 1;
   uint64_t total = index.offsets_.back();
+  if (total > dec.remaining()) {
+    return Status::Corruption("posting count exceeds the file in: " + path);
+  }
   index.len_ids_.resize(total);
   index.len_lens_.resize(total);
   if (version == kVersionLegacy) {
@@ -514,7 +530,13 @@ Result<InvertedIndex> InvertedIndex::Load(const std::string& path) {
     }
   }
   if (dec.exhausted()) return Status::Corruption("missing id lists flag");
-  bool has_id_lists = dec.data[dec.pos++] != 0;
+  const bool has_id_lists = dec.data[dec.pos++] != 0;
+  // Save writes the lists exactly when the options ask for them and there
+  // is a posting; sort-by-id trusts the options.
+  if (has_id_lists != (index.options_.build_id_lists && total > 0)) {
+    return Status::Corruption("id list flag disagrees with options in: " +
+                              path);
+  }
   if (has_id_lists) {
     index.id_ids_.resize(total);
     index.id_lens_.resize(total);
@@ -530,20 +552,19 @@ Result<InvertedIndex> InvertedIndex::Load(const std::string& path) {
         }
       }
     } else {
-      // v3 stores gaps only; lengths come from the by-length lists (a
-      // length is a per-set value, so one table keyed by set id covers
-      // every posting).
-      uint32_t max_id = 0;
-      for (uint64_t i = 0; i < total; ++i) {
-        max_id = std::max(max_id, index.len_ids_[i]);
-      }
-      std::vector<float> len_of_id(total == 0 ? 0 : size_t{max_id} + 1, 0.0f);
-      for (uint64_t i = 0; i < total; ++i) {
-        len_of_id[index.len_ids_[i]] = index.len_lens_[i];
-      }
+      // v3 stores gaps only. A by-id list holds its token's by-length
+      // postings in id order, so the lengths come from there, and an id
+      // the by-length list lacks is corruption.
+      std::vector<std::pair<uint32_t, float>> by_id;
       for (size_t t = 0; t < num_tokens; ++t) {
         const uint64_t begin = index.offsets_[t];
         const uint64_t n = index.offsets_[t + 1] - begin;
+        by_id.clear();
+        for (uint64_t i = 0; i < n; ++i) {
+          by_id.emplace_back(index.len_ids_[begin + i],
+                             index.len_lens_[begin + i]);
+        }
+        std::sort(by_id.begin(), by_id.end());
         uint32_t prev = 0;
         for (uint64_t i = 0; i < n; ++i) {
           uint32_t gap;
@@ -551,12 +572,12 @@ Result<InvertedIndex> InvertedIndex::Load(const std::string& path) {
             return Status::Corruption("truncated id postings in: " + path);
           }
           const uint32_t id = i == 0 ? gap : prev + gap;
-          if (id > max_id) {
+          if (id != by_id[i].first) {
             return Status::Corruption("id posting out of range in: " + path);
           }
           prev = id;
           index.id_ids_[begin + i] = id;
-          index.id_lens_[begin + i] = len_of_id[id];
+          index.id_lens_[begin + i] = by_id[i].second;
         }
       }
     }

@@ -26,7 +26,7 @@ struct InvertedIndexOptions {
   /// list is covered by fixed-size blocks of this many postings, each with a
   /// {min_len, max_len, first_id, last_id} summary. Length seeks binary-
   /// search the summaries (they are the paper's skip lists) and span reads
-  /// never cross a block boundary.
+  /// never cross a block boundary. At most kMaxBlockPostings.
   size_t block_postings = 128;
   /// Worker threads for the build passes (per-token sorting, summaries,
   /// hashes; per-set signatures; the prefilter's band tables).

@@ -1,11 +1,24 @@
 #include "serve/sharded_selector.h"
 
+#include "common/logging.h"
 #include "obs/trace.h"
 
 namespace simsel::serve {
 
 ShardedSelector ShardedSelector::Build(const std::vector<std::string>& records,
                                        const ShardedSelectorOptions& options) {
+  // The outer fields set the segments and storage; a nested value would
+  // be silently replaced.
+  const BuildOptions defaults;
+  SIMSEL_CHECK_MSG(options.build.num_segments == defaults.num_segments,
+                   "set ShardedSelectorOptions::num_shards, not "
+                   "build.num_segments");
+  SIMSEL_CHECK_MSG(options.build.disk_mode == defaults.disk_mode,
+                   "set ShardedSelectorOptions::disk_mode, not "
+                   "build.disk_mode");
+  SIMSEL_CHECK_MSG(options.build.pool_pages == defaults.pool_pages,
+                   "set ShardedSelectorOptions::pool_pages, not "
+                   "build.pool_pages");
   BuildOptions build = options.build;
   build.num_segments = options.num_shards;
   build.disk_mode = options.disk_mode;

@@ -19,7 +19,8 @@ struct ShardedSelectorOptions {
   /// Number of collection partitions (BuildOptions::num_segments).
   size_t num_shards = 4;
   /// Tokenizer / index knobs of the selector. Its num_segments, disk_mode
-  /// and pool_pages are overridden by the fields below.
+  /// and pool_pages come from the fields below and must stay at their
+  /// defaults here (a checked error otherwise).
   BuildOptions build;
   /// Serve postings from per-shard disk-resident PostingStores
   /// (BuildOptions::disk_mode).

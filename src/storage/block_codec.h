@@ -96,6 +96,10 @@ inline int32_t ZigzagDecode32(uint32_t v) {
 
 // --- Compressed posting blocks. ---
 
+/// The largest block a loader accepts: decoders size per-block buffers by
+/// the block length an image declares.
+constexpr size_t kMaxBlockPostings = size_t{1} << 16;
+
 /// Reusable decode staging owned by each consumer (one per ListCursor in
 /// disk mode; Load paths keep a local one). `deltas` stages the parsed id /
 /// length deltas handed to the SIMD prefix-sum kernels; `raw`/`ids`/`lens`

@@ -75,9 +75,19 @@ Result<PagedFile> PagedFile::LoadFromFile(const std::string& path) {
   uint64_t page_size, payload;
   GetFixed64(&dec, &page_size);
   GetFixed64(&dec, &payload);
-  if (page_size < 64 || page_size > (64u << 20)) {
+  if (page_size < kMinPageBytes || page_size > kMaxPageBytes) {
     return Status::Corruption("implausible page size in: " + path);
   }
+  // The length field is checked only by the checksum, which needs the
+  // payload read first: bound it by the bytes the file really holds.
+  in.seekg(0, std::ios::end);
+  const uint64_t file_bytes = static_cast<uint64_t>(in.tellg());
+  if (file_bytes < sizeof(header) + 8 ||
+      payload != file_bytes - sizeof(header) - 8) {
+    return Status::Corruption("payload length disagrees with file size: " +
+                              path);
+  }
+  in.seekg(sizeof(header));
   PagedFile file(static_cast<size_t>(page_size));
   file.data_.resize(payload);
   in.read(reinterpret_cast<char*>(file.data_.data()),

@@ -29,6 +29,11 @@ struct PageReadStats {
   }
 };
 
+/// The page sizes an image may declare (PagedFile and InvertedIndex
+/// headers); anything else is Corruption.
+constexpr uint64_t kMinPageBytes = 64;
+constexpr uint64_t kMaxPageBytes = uint64_t{64} << 20;
+
 /// In-memory image of a disk file with page-granular read accounting.
 ///
 /// The paper's indexes are disk-resident; their cost model is dominated by

@@ -182,8 +182,11 @@ Result<PostingStore> PostingStore::Load(const std::string& path,
   size_t dir_start = buf.size() - dir_size;
   Decoder dec{buf.data(), buf.size() - 8, dir_start};
   uint64_t num_tokens, block_postings;
+  // A directory entry takes at least two bytes, which bounds the token
+  // count before it sizes the tables.
   if (!GetFixed64(&dec, &num_tokens) || !GetFixed64(&dec, &block_postings) ||
-      block_postings == 0) {
+      block_postings == 0 || block_postings > kMaxBlockPostings ||
+      num_tokens > dec.remaining() / 2) {
     return Status::Corruption("truncated directory in: " + path);
   }
   PostingStore store;
@@ -199,18 +202,23 @@ Result<PostingStore> PostingStore::Load(const std::string& path,
       return Status::Corruption("truncated directory entry in: " + path);
     }
     const uint64_t num_blocks =
-        (count + block_postings - 1) / block_postings;
-    uint32_t end = 0;
+        count / block_postings + (count % block_postings != 0);
+    // Each block end must stay inside the list bytes, so the 32-bit ends
+    // never wrap.
+    if (offset > dir_start) {
+      return Status::Corruption("list range out of bounds in: " + path);
+    }
+    uint64_t end = 0;
     for (uint64_t b = 0; b < num_blocks; ++b) {
       uint32_t size;
       if (!GetVarint32(&dec, &size)) {
         return Status::Corruption("truncated block directory in: " + path);
       }
       end += size;
-      store.blk_ends_.push_back(end);
-    }
-    if (offset + static_cast<uint64_t>(end) > dir_start) {
-      return Status::Corruption("list range out of bounds in: " + path);
+      if (end > dir_start - offset) {
+        return Status::Corruption("list range out of bounds in: " + path);
+      }
+      store.blk_ends_.push_back(static_cast<uint32_t>(end));
     }
     store.offsets_[t] = offset;
     store.counts_[t] = count;

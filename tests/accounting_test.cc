@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <tuple>
-
 #include "test_util.h"
 
 namespace simsel {
@@ -25,66 +23,6 @@ const std::vector<std::string>& Queries() {
     return new std::vector<std::string>(MakeQueries(texts, 15, 511));
   }();
   return *queries;
-}
-
-// Every list-consuming algorithm must conserve accounting: each posting of
-// each query list is either read or skipped, never both, never neither.
-class AccountingConservation
-    : public ::testing::TestWithParam<std::tuple<AlgorithmKind, double>> {};
-
-TEST_P(AccountingConservation, ReadPlusSkippedEqualsTotal) {
-  const auto& [kind, tau] = GetParam();
-  const SimilaritySelector& sel = Selector();
-  for (const std::string& query : Queries()) {
-    PreparedQuery q = sel.Prepare(query);
-    QueryResult r = sel.SelectPrepared(q, tau, kind, {});
-    EXPECT_EQ(r.counters.elements_read + r.counters.elements_skipped,
-              r.counters.elements_total)
-        << AlgorithmKindName(kind) << " tau=" << tau << " q=" << query;
-    EXPECT_EQ(r.counters.results, r.matches.size());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ListAlgorithms, AccountingConservation,
-    ::testing::Combine(
-        ::testing::Values(AlgorithmKind::kSortById, AlgorithmKind::kTa,
-                          AlgorithmKind::kNra, AlgorithmKind::kIta,
-                          AlgorithmKind::kInra, AlgorithmKind::kSf,
-                          AlgorithmKind::kHybrid,
-                          AlgorithmKind::kPrefixFilter),
-        ::testing::Values(0.5, 0.8, 0.95)),
-    [](const auto& info) {
-      std::string name = AlgorithmKindName(std::get<0>(info.param));
-      if (name == "sort-by-id") name = "SortById";
-      return name + "_tau" +
-             std::to_string(
-                 static_cast<int>(std::get<1>(info.param) * 100 + 0.5));
-    });
-
-// Ablation variants must conserve too (seeks take different code paths).
-TEST(AccountingConservationTest, AblationVariants) {
-  const SimilaritySelector& sel = Selector();
-  for (int variant = 0; variant < 3; ++variant) {
-    SelectOptions o;
-    if (variant == 0) o.length_bounding = false;
-    if (variant == 1) o.use_skip_index = false;
-    if (variant == 2) {
-      o.order_preservation = false;
-      o.magnitude_bound = false;
-    }
-    for (AlgorithmKind kind :
-         {AlgorithmKind::kInra, AlgorithmKind::kSf, AlgorithmKind::kHybrid,
-          AlgorithmKind::kIta}) {
-      for (const std::string& query : Queries()) {
-        PreparedQuery q = sel.Prepare(query);
-        QueryResult r = sel.SelectPrepared(q, 0.8, kind, o);
-        EXPECT_EQ(r.counters.elements_read + r.counters.elements_skipped,
-                  r.counters.elements_total)
-            << AlgorithmKindName(kind) << " variant " << variant;
-      }
-    }
-  }
 }
 
 // Monotonicity of pruning in the threshold, pooled over a workload (SF and

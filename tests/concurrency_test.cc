@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -20,6 +19,8 @@
 
 namespace simsel {
 namespace {
+
+using testing_util::MatchDifference;
 
 using testing_util::MakeQueries;
 using testing_util::MakeSelector;
@@ -76,23 +77,6 @@ std::string DiffCounters(const AccessCounters& a, const AccessCounters& b) {
   return out.str();
 }
 
-std::string DiffMatches(const std::vector<Match>& expected,
-                        const std::vector<Match>& actual) {
-  if (expected.size() != actual.size()) {
-    return "count " + std::to_string(expected.size()) + " vs " +
-           std::to_string(actual.size());
-  }
-  for (size_t i = 0; i < expected.size(); ++i) {
-    // Byte-identical: same id and the exact same score double.
-    if (expected[i].id != actual[i].id ||
-        std::memcmp(&expected[i].score, &actual[i].score, sizeof(double)) !=
-            0) {
-      return "rank " + std::to_string(i) + " differs";
-    }
-  }
-  return "";
-}
-
 TEST(ConcurrencySoakTest, MixedAlgorithmsDiskAndMemoryMatchSerial) {
   const SimilaritySelector& sel = Selector();
   const PostingStore& store = Store();
@@ -127,7 +111,7 @@ TEST(ConcurrencySoakTest, MixedAlgorithmsDiskAndMemoryMatchSerial) {
     if (disk) opts.posting_store = &store;
     QueryResult got =
         sel.SelectPrepared(prepared[qi], tau, kSoakKinds[ki], opts);
-    std::string diff = DiffMatches(expected[qi][ki].matches, got.matches);
+    std::string diff = MatchDifference(expected[qi][ki].matches, got.matches);
     if (!diff.empty()) {
       failures[i] = std::string(AlgorithmKindName(kSoakKinds[ki])) +
                     (disk ? " disk" : " mem") + " q" + std::to_string(qi) +
@@ -157,7 +141,7 @@ TEST(ConcurrencySoakTest, ConcurrentDiskCursorsDoNotPerturbAccounting) {
   ParallelFor(&pool, failures.size(), [&](size_t i) {
     QueryResult got = sel.SelectPrepared(q, 0.8, AlgorithmKind::kSf, disk);
     std::string diff = DiffCounters(serial.counters, got.counters);
-    if (diff.empty()) diff = DiffMatches(serial.matches, got.matches);
+    if (diff.empty()) diff = MatchDifference(serial.matches, got.matches);
     if (!diff.empty()) failures[i] = diff;
   });
   for (const std::string& failure : failures) {
@@ -192,7 +176,8 @@ TEST_P(BatchDeterminismParam, BatchSelectIdenticalToSerialLoop) {
       std::string context = std::string(AlgorithmKindName(kind)) +
                             (disk ? " disk" : " mem") + " query " +
                             std::to_string(i);
-      EXPECT_EQ(DiffMatches(serial.matches, batch[i].matches), "") << context;
+      EXPECT_EQ(MatchDifference(serial.matches, batch[i].matches), "")
+          << context;
       // Per-query accounting is deterministic: the batch run saw exactly the
       // serial loop's counters, then the aggregates follow.
       EXPECT_EQ(DiffCounters(serial.counters, batch[i].counters), "")

@@ -1,9 +1,8 @@
 // The default build carries no sketch tier: the MinHash signatures, the
 // prefilter's band tables and router, and the v4 image's sketch payload are
 // all opt-in (InvertedIndexOptions::build_sketches). Every front door built
-// with default options must come up without them, and its answers must be
-// byte-identical to an opted-in build's — the tier is exact, so turning it
-// off by default may change cost, never results.
+// with default options must come up without them. That its answers equal an
+// opted-in build's is oracle_test's sketches axis.
 
 #include <gtest/gtest.h>
 
@@ -15,30 +14,13 @@
 #include "core/selector.h"
 #include "obs/metrics_registry.h"
 #include "serve/sharded_selector.h"
-#include "storage/posting_store.h"
 #include "test_util.h"
 
 namespace simsel {
 namespace {
 
 using testing_util::ExpectSameMatches;
-using testing_util::MakeQueries;
-using testing_util::MakeSelector;
 using testing_util::MakeWordRecords;
-
-const AlgorithmKind kAllKinds[] = {
-    AlgorithmKind::kLinearScan, AlgorithmKind::kSql,
-    AlgorithmKind::kSortById,   AlgorithmKind::kTa,
-    AlgorithmKind::kNra,        AlgorithmKind::kIta,
-    AlgorithmKind::kInra,       AlgorithmKind::kSf,
-    AlgorithmKind::kHybrid,     AlgorithmKind::kPrefixFilter,
-};
-
-const AlgorithmKind kDiskKinds[] = {
-    AlgorithmKind::kTa,   AlgorithmKind::kNra, AlgorithmKind::kIta,
-    AlgorithmKind::kInra, AlgorithmKind::kSf,  AlgorithmKind::kHybrid,
-    AlgorithmKind::kPrefixFilter,
-};
 
 const double kTaus[] = {0.5, 0.7, 0.9, 0.95};
 
@@ -179,53 +161,6 @@ TEST(DefaultBuildTest, LatestImageCarriesNoSketchSection) {
       ExpectSameMatches(sel.Select(query, tau).matches,
                         loaded->Select(query, tau).matches,
                         "reloaded tau=" + std::to_string(tau));
-    }
-  }
-}
-
-TEST(DefaultBuildTest, MemoryResultsMatchOptedInBuild) {
-  const SimilaritySelector plain = MakeSelector(400, 15, /*with_sql=*/true);
-  const SimilaritySelector opted = MakeSelector(400, 15, /*with_sql=*/true,
-                                                /*with_sketches=*/true);
-  ASSERT_EQ(plain.prefilter(), nullptr);
-  ASSERT_NE(opted.prefilter(), nullptr);
-  std::vector<std::string> queries;
-  for (SetId s = 0; s < 15; ++s) {
-    queries.push_back(plain.collection().text(s * 9));
-  }
-  for (const std::string& extra :
-       MakeQueries(MakeWordRecords(400, 15), 10, 8)) {
-    queries.push_back(extra);
-  }
-  for (AlgorithmKind kind : kAllKinds) {
-    for (double tau : kTaus) {
-      for (const std::string& query : queries) {
-        ExpectSameMatches(opted.Select(query, tau, kind).matches,
-                          plain.Select(query, tau, kind).matches,
-                          Ctx(kind, tau, "memory"));
-      }
-    }
-  }
-}
-
-TEST(DefaultBuildTest, DiskResultsMatchOptedInBuild) {
-  const SimilaritySelector plain = MakeSelector(300, 16, /*with_sql=*/false);
-  const SimilaritySelector opted = MakeSelector(300, 16, /*with_sql=*/false,
-                                                /*with_sketches=*/true);
-  ASSERT_NE(opted.prefilter(), nullptr);
-  const PostingStore plain_store = PostingStore::Build(plain.index());
-  const PostingStore opted_store = PostingStore::Build(opted.index());
-  SelectOptions plain_disk, opted_disk;
-  plain_disk.posting_store = &plain_store;
-  opted_disk.posting_store = &opted_store;
-  for (AlgorithmKind kind : kDiskKinds) {
-    for (double tau : kTaus) {
-      for (SetId s = 0; s < 10; ++s) {
-        const std::string query = plain.collection().text(s * 13);
-        ExpectSameMatches(opted.Select(query, tau, kind, opted_disk).matches,
-                          plain.Select(query, tau, kind, plain_disk).matches,
-                          Ctx(kind, tau, "disk"));
-      }
     }
   }
 }

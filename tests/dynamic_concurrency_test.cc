@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,25 +24,12 @@
 namespace simsel {
 namespace {
 
+using testing_util::ExpectSameMatches;
+using testing_util::MakeWordRecords;
+using testing_util::MatchDifference;
+
 std::vector<std::string> BaseRecords() {
   return testing_util::MakeWordRecords(200, /*seed=*/811);
-}
-
-std::string DiffMatches(const std::vector<Match>& expected,
-                        const std::vector<Match>& actual) {
-  if (expected.size() != actual.size()) {
-    return "count " + std::to_string(expected.size()) + " vs " +
-           std::to_string(actual.size());
-  }
-  for (size_t i = 0; i < expected.size(); ++i) {
-    // Byte-identical: same id and the exact same score double.
-    if (expected[i].id != actual[i].id ||
-        std::memcmp(&expected[i].score, &actual[i].score, sizeof(double)) !=
-            0) {
-      return "rank " + std::to_string(i) + " differs";
-    }
-  }
-  return "";
 }
 
 // --- EpochManager unit tests -------------------------------------------
@@ -290,7 +276,7 @@ void ExpectReadersMatchVersionedReplay(const BuildOptions& options,
           break;
         }
         std::string diff =
-            DiffMatches(truth.expected[r.snapshot_version][qi], r.matches);
+            MatchDifference(truth.expected[r.snapshot_version][qi], r.matches);
         if (!diff.empty()) {
           failures[t] = "q" + std::to_string(qi) + " at v" +
                         std::to_string(r.snapshot_version) + ": " + diff;
@@ -375,9 +361,9 @@ TEST_P(DynamicSoakParam, QueriesInFlightAcrossRebuildMatchPreOrPost) {
         QueryResult r = dyn.Select(queries[qi], tau);
         std::string diff;
         if (r.snapshot_version == pre_version) {
-          diff = DiffMatches(pre[qi], r.matches);
+          diff = MatchDifference(pre[qi], r.matches);
         } else if (r.snapshot_version == pre_version + 1) {
-          diff = DiffMatches(post[qi], r.matches);
+          diff = MatchDifference(post[qi], r.matches);
           post_seen.fetch_add(1, std::memory_order_relaxed);
         } else {
           diff = "version " + std::to_string(r.snapshot_version);
@@ -472,7 +458,7 @@ TEST_P(DynamicSoakParam, FullChaosAddSelectRebuildThenExactConvergence) {
     const std::string& q = all[i * 17 % all.size()];
     QueryResult a = fresh.Select(q, tau);
     QueryResult b = dyn.Select(q, tau);
-    EXPECT_EQ(DiffMatches(a.matches, b.matches), "") << q;
+    EXPECT_EQ(MatchDifference(a.matches, b.matches), "") << q;
   }
 }
 
@@ -493,7 +479,7 @@ TEST(DynamicServingTest, CacheInvalidatedByVersionBump) {
 
   QueryResult first = serving.Select(query, 0.8);
   QueryResult second = serving.Select(query, 0.8);
-  EXPECT_EQ(DiffMatches(first.matches, second.matches), "");
+  EXPECT_EQ(MatchDifference(first.matches, second.matches), "");
   EXPECT_EQ(serving.result_cache()->hits(), 1u);
 
   // One insert bumps the version: the cached entry is stale, the rerun
@@ -509,7 +495,7 @@ TEST(DynamicServingTest, CacheInvalidatedByVersionBump) {
   // The fresh answer was cached at the new version.
   QueryResult fourth = serving.Select(query, 0.8);
   EXPECT_EQ(serving.result_cache()->hits(), 2u);
-  EXPECT_EQ(DiffMatches(third.matches, fourth.matches), "");
+  EXPECT_EQ(MatchDifference(third.matches, fourth.matches), "");
 }
 
 TEST(DynamicServingTest, ConcurrentCachedReadsNeverServeStaleResults) {
@@ -546,7 +532,7 @@ TEST(DynamicServingTest, ConcurrentCachedReadsNeverServeStaleResults) {
         // Cache hit or miss, the answer must be the serial answer for the
         // version stamped on it — a stale hit would diff here.
         std::string diff =
-            DiffMatches(truth.expected[r.snapshot_version][qi], r.matches);
+            MatchDifference(truth.expected[r.snapshot_version][qi], r.matches);
         if (!diff.empty()) {
           failures[t] = "q" + std::to_string(qi) + " at v" +
                         std::to_string(r.snapshot_version) + ": " + diff;
@@ -580,6 +566,55 @@ TEST(DynamicServingTest, ThresholdPolicyRebuildsInBackground) {
   // At least one threshold crossing folded the delta.
   EXPECT_LT(serving.selector().delta_size(), 64u);
   EXPECT_EQ(serving.selector().size(), base.size() + 64);
+}
+
+// The sketch tier is opt-in: the mixed on/off readers below ask for it.
+BuildOptions SketchedBuild() {
+  BuildOptions build;
+  build.index.build_sketches = true;
+  return build;
+}
+
+// Concurrent soak (run under TSAN by scripts/check.sh): readers with the
+// tier on race readers with it off and concurrent delta appends; every
+// thread checks its answers against a serial reference on the snapshot it
+// pinned. The tier's state is immutable after Attach, so the only shared
+// mutable state is the dynamic selector's own (already TSAN-clean) core.
+TEST(PrefilterParityTest, ConcurrentMixedOnOffReaders) {
+  std::vector<std::string> records = MakeWordRecords(200, 321);
+  DynamicSelector dyn(records, SketchedBuild());
+  ASSERT_NE(dyn.snapshot().main().prefilter(), nullptr);
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> checked{0};
+
+  std::thread writer([&] {
+    for (SetId s = 0; s < 30 && !stop.load(); ++s) {
+      dyn.AddRecord(records[s % records.size()]);
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      SelectOptions on, off;
+      off.prefilter = false;
+      for (int i = 0; i < 40; ++i) {
+        const std::string& query = records[(t * 37 + i * 11) % records.size()];
+        const double tau = (i % 2) ? 0.9 : 0.7;
+        // Pin one snapshot so both runs and the reference see the same cut.
+        DynamicSelector::Snapshot snap = dyn.snapshot();
+        PreparedQuery q = snap.Prepare(query);
+        QueryResult a = snap.SelectPrepared(q, tau, AlgorithmKind::kSf, on);
+        QueryResult b = snap.SelectPrepared(q, tau, AlgorithmKind::kSf, off);
+        ExpectSameMatches(b.matches, a.matches,
+                          "concurrent t=" + std::to_string(t));
+        checked.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  stop.store(true);
+  writer.join();
+  EXPECT_EQ(checked.load(), 160u);
 }
 
 }  // namespace

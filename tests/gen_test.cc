@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
+#include <string_view>
 #include <unordered_set>
 
 #include "gen/corpus.h"
@@ -307,6 +310,101 @@ TEST(LoadParseTest, HostileResponsesAreRejectedWithoutAborting) {
   ASSERT_EQ(ok.matches.size(), 2u);
   EXPECT_EQ(ok.matches[1].id, 4u);
   EXPECT_EQ(ok.matches[1].score, 0.25);
+}
+
+// Seeded byte mutations of valid OK, PARTIAL, INS, SHED, ERR and PONG
+// response lines — flipped, inserted and deleted bytes, NULs, carriage
+// returns, runs of spaces and 300-digit counts — mirroring the server's
+// request-line test. The parser must never throw, and a line it accepts as
+// OK or PARTIAL must carry exactly the matches its count field names.
+TEST(LoadParseTest, MutatedResponsesNeverThrow) {
+  using Kind = load::Response::Kind;
+  struct Line {
+    std::string text;
+    Kind kind;
+    size_t matches;
+  };
+  const std::string digits300 = "1" + std::string(299, '0');
+  const std::vector<Line> valid = {
+      {"r1 OK 7 2 3:0.5 4:0.25", Kind::kOk, 2},
+      {"r2 OK 0 0", Kind::kOk, 0},
+      {"r3 PARTIAL budget 3 1 9:0.75", Kind::kPartial, 1},
+      {"r4 INS 41 8", Kind::kInsert, 0},
+      {"r5 SHED", Kind::kShed, 0},
+      {"r6 ERR bad request", Kind::kError, 0},
+      {"r7 PONG", Kind::kPong, 0},
+  };
+  for (const Line& line : valid) {
+    load::Response r;
+    ASSERT_TRUE(load::ParseResponse(line.text, &r)) << line.text;
+    EXPECT_EQ(r.kind, line.kind) << line.text;
+    EXPECT_EQ(r.matches.size(), line.matches) << line.text;
+  }
+  for (const std::string& line :
+       {"r8 OK 7 " + digits300 + " 3:0.5", "r9 PARTIAL deadline 2 " + digits300,
+        "r10 INS " + digits300 + " 1"}) {
+    load::Response r;
+    EXPECT_FALSE(load::ParseResponse(line, &r)) << line;
+  }
+
+  std::mt19937 rng(20261019);
+  auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng() % std::max<size_t>(n, 1));
+  };
+  const char kSpecial[] = {'\0', '\r', ' ', '\t', '0', '9', ':', '-'};
+  size_t accepted = 0;
+  for (int i = 0; i < 4000; ++i) {
+    std::string line = valid[pick(valid.size())].text;
+    const size_t edits = 1 + pick(3);
+    for (size_t e = 0; e < edits; ++e) {
+      const size_t at = pick(line.size() + 1);
+      switch (pick(5)) {
+        case 0:  // flip
+          if (at < line.size()) {
+            line[at] = static_cast<char>(line[at] ^ (1 + pick(255)));
+          }
+          break;
+        case 1:  // insert
+          line.insert(at, 1, kSpecial[pick(sizeof(kSpecial))]);
+          break;
+        case 2:  // delete
+          if (at < line.size()) line.erase(at, 1);
+          break;
+        case 3:  // run of spaces
+          line.insert(at, 1 + pick(6), ' ');
+          break;
+        default:  // a 300-digit number
+          line.insert(at, digits300);
+          break;
+      }
+    }
+    load::Response r;
+    bool ok = false;
+    EXPECT_NO_THROW(ok = load::ParseResponse(line, &r)) << line;
+    if (!ok) continue;
+    ++accepted;
+    if (r.kind != Kind::kOk && r.kind != Kind::kPartial) continue;
+    // id kind [reason] version count pairs...
+    std::vector<std::string_view> fields;
+    for (size_t begin = 0;;) {
+      const size_t space = line.find(' ', begin);
+      fields.push_back(std::string_view(line).substr(
+          begin, space == std::string::npos ? std::string::npos
+                                            : space - begin));
+      if (space == std::string::npos) break;
+      begin = space + 1;
+    }
+    const size_t count_at = r.kind == Kind::kOk ? 3 : 4;
+    ASSERT_LT(count_at, fields.size()) << line;
+    uint64_t count = 0;
+    const std::string_view field = fields[count_at];
+    const auto [end, ec] =
+        std::from_chars(field.data(), field.data() + field.size(), count);
+    EXPECT_TRUE(ec == std::errc() && end == field.data() + field.size())
+        << "accepted a count that is not a decimal number: " << line;
+    EXPECT_EQ(r.matches.size(), count) << line;
+  }
+  EXPECT_GT(accepted, 0u);
 }
 
 }  // namespace

@@ -27,25 +27,6 @@ std::vector<std::string> CollectionQueries(size_t n, uint64_t seed) {
 
 // --- Theorem 1: Length Boundedness. ---
 
-TEST(LengthBoundednessTest, EveryMatchRespectsTheWindow) {
-  const SimilaritySelector& sel = Selector();
-  for (double tau : {0.5, 0.7, 0.9}) {
-    for (const std::string& query : CollectionQueries(15, 61)) {
-      PreparedQuery q = sel.Prepare(query);
-      if (q.length == 0.0) continue;
-      QueryResult r =
-          sel.SelectPrepared(q, tau, AlgorithmKind::kLinearScan, {});
-      for (const Match& m : r.matches) {
-        double len = sel.measure().set_length(m.id);
-        EXPECT_GE(len, tau * q.length * (1 - 1e-6))
-            << "tau=" << tau << " id=" << m.id;
-        EXPECT_LE(len, q.length / tau * (1 + 1e-6))
-            << "tau=" << tau << " id=" << m.id;
-      }
-    }
-  }
-}
-
 TEST(LengthBoundednessTest, BoundIsTightForContainment) {
   // Case q ∩ s = s (s ⊆ q): I = len(s)/len(q), so a set at exactly
   // τ·len(q) achieves τ. Verify the subset-score identity on real data.
@@ -144,21 +125,6 @@ TEST(LambdaTest, CutoffsAreMonotonicallyDecreasing) {
 }
 
 // --- Lemma-4 style access comparisons. ---
-
-TEST(AccessComparisonTest, HybridNeverReadsMoreThanInra) {
-  const SimilaritySelector& sel = Selector();
-  for (double tau : {0.6, 0.8, 0.9}) {
-    for (const std::string& query : CollectionQueries(20, 81)) {
-      PreparedQuery q = sel.Prepare(query);
-      QueryResult inra =
-          sel.SelectPrepared(q, tau, AlgorithmKind::kInra, {});
-      QueryResult hybrid =
-          sel.SelectPrepared(q, tau, AlgorithmKind::kHybrid, {});
-      EXPECT_LE(hybrid.counters.elements_read, inra.counters.elements_read)
-          << "tau=" << tau << " q=" << query;
-    }
-  }
-}
 
 TEST(AccessComparisonTest, HybridStopRuleFiresOnSomeInstance) {
   // The max_len(C) + λ₁ stop only helps when λ₁ < len(q)/τ, i.e. when some

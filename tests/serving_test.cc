@@ -1,14 +1,12 @@
-// Serving-layer tests: sharded scatter-gather exactness against the
-// single-index ground truth (all algorithms, memory and disk mode), result
-// cache hit/invalidation/eviction semantics, and a concurrency soak that
-// runs under the TSAN `concurrency` ctest label.
+// Serving-layer tests: sharded scatter-gather structure, cancellation and
+// tracing, result cache hit/invalidation/eviction semantics, and a
+// concurrency soak that runs under the TSAN `concurrency` ctest label.
+// Exactness over segment counts and storage is oracle_test's.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -30,16 +28,8 @@ using serve::ResultCacheOptions;
 using serve::ShardedSelector;
 using serve::ShardedSelectorOptions;
 using testing_util::ExpectSameMatches;
-using testing_util::ExpectSoundPartial;
 using testing_util::MakeQueries;
 using testing_util::MakeWordRecords;
-
-constexpr AlgorithmKind kShardableKinds[] = {
-    AlgorithmKind::kLinearScan, AlgorithmKind::kSortById,
-    AlgorithmKind::kTa,         AlgorithmKind::kNra,
-    AlgorithmKind::kIta,        AlgorithmKind::kInra,
-    AlgorithmKind::kSf,         AlgorithmKind::kHybrid,
-    AlgorithmKind::kPrefixFilter};
 
 BuildOptions SmallBuild() {
   BuildOptions build;
@@ -88,69 +78,24 @@ TEST(ShardedSelectorTest, MoreShardsThanRecordsClamps) {
   EXPECT_FALSE(r.matches.empty());
 }
 
-// Intra-query parallelism is one executor under every front door: a
-// ShardedSelector with K segments — in memory or on disk, scattered on a
-// pool or run serially — answers exactly like the one-segment
-// SimilaritySelector (ids, score bits, order) for every algorithm with a
-// segment form (all but kSql), and a budget trip yields a sound subset.
-class SegmentParityTest
-    : public ::testing::TestWithParam<std::tuple<size_t, bool, bool>> {};
-
-TEST_P(SegmentParityTest, ShardedEqualsSingleSegment) {
-  const auto [segments, disk, with_pool] = GetParam();
-  std::vector<std::string> records = MakeWordRecords(300, 2101);
-  SimilaritySelector single = SimilaritySelector::Build(records, SmallBuild());
-  ShardedSelector sharded =
-      ShardedSelector::Build(records, ServeOptions(segments, disk));
-  ASSERT_EQ(sharded.num_shards(), segments);
-  ThreadPool pool(3);
-  if (with_pool) sharded.set_thread_pool(&pool);
-  std::vector<std::string> queries = MakeQueries(records, 8, 2111);
-  queries.push_back("");              // empty query
-  queries.push_back("zzzzqqqqxxxx");  // out-of-vocabulary
-
-  SelectOptions budget;
-  budget.control.max_elements_read = 1;
-  size_t trips = 0;
-  uint64_t pool_traffic = 0;  // nonzero only if segment storage is bound
-  for (AlgorithmKind kind : kShardableKinds) {
-    for (const std::string& query : queries) {
-      for (double tau : {0.5, 0.8}) {
-        const std::string context = std::string(AlgorithmKindName(kind)) +
-                                    " tau=" + std::to_string(tau) + " q=\"" +
-                                    query + "\"";
-        const QueryResult expected = single.Select(query, tau, kind);
-        const QueryResult actual = sharded.Select(query, tau, kind);
-        ASSERT_TRUE(actual.complete()) << context;
-        pool_traffic += actual.counters.pool_hits + actual.counters.pool_misses;
-        ASSERT_EQ(actual.matches.size(), expected.matches.size()) << context;
-        for (size_t i = 0; i < actual.matches.size(); ++i) {
-          EXPECT_EQ(actual.matches[i].id, expected.matches[i].id) << context;
-          EXPECT_EQ(std::bit_cast<uint64_t>(actual.matches[i].score),
-                    std::bit_cast<uint64_t>(expected.matches[i].score))
-              << context << " id " << actual.matches[i].id;
-        }
-        const QueryResult partial = sharded.Select(query, tau, kind, budget);
-        trips += partial.termination == Termination::kBudget;
-        ExpectSoundPartial(expected, partial, context + " budget");
-      }
-    }
-  }
-  EXPECT_GT(trips, 0u);
-  EXPECT_EQ(pool_traffic > 0, disk);
+// The segment count and storage are ShardedSelectorOptions' own fields;
+// setting them on the nested BuildOptions, where Build would silently
+// replace them, is a checked error that names the field to set.
+TEST(ShardedSelectorTest, NestedSegmentAndStorageFieldsAreRejected) {
+  const std::vector<std::string> records = MakeWordRecords(20, 3);
+  ShardedSelectorOptions segments = ServeOptions(2);
+  segments.build.num_segments = 2;
+  EXPECT_DEATH(ShardedSelector::Build(records, segments),
+               "ShardedSelectorOptions::num_shards");
+  ShardedSelectorOptions disk = ServeOptions(2);
+  disk.build.disk_mode = true;
+  EXPECT_DEATH(ShardedSelector::Build(records, disk),
+               "ShardedSelectorOptions::disk_mode");
+  ShardedSelectorOptions pool = ServeOptions(2);
+  pool.build.pool_pages = 8;
+  EXPECT_DEATH(ShardedSelector::Build(records, pool),
+               "ShardedSelectorOptions::pool_pages");
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Segments, SegmentParityTest,
-    ::testing::Combine(::testing::Values(size_t{1}, size_t{3}, size_t{8}),
-                       ::testing::Bool(), ::testing::Bool()),
-    [](const auto& info) {
-      std::string name = "K";
-      name += std::to_string(std::get<0>(info.param));
-      name += std::get<1>(info.param) ? "Disk" : "Memory";
-      name += std::get<2>(info.param) ? "Pool" : "Serial";
-      return name;
-    });
 
 TEST(ShardedSelectorTest, SqlIsRejected) {
   std::vector<std::string> records = MakeWordRecords(40, 5);

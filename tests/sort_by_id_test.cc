@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <string>
 #include <vector>
@@ -100,20 +99,6 @@ const std::vector<NamedQuery>& Queries() {
   return *queries;
 }
 
-uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
-
-// Same ids in the same order with the same score bits.
-void ExpectIdentical(const std::vector<Match>& expected,
-                     const std::vector<Match>& actual,
-                     const std::string& context) {
-  ASSERT_EQ(expected.size(), actual.size()) << context;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(expected[i].id, actual[i].id) << context << " at rank " << i;
-    ASSERT_EQ(Bits(expected[i].score), Bits(actual[i].score))
-        << context << " id " << actual[i].id;
-  }
-}
-
 // `partial` is sound: a prefix of `full` with identical scores (windows
 // finish in id order and finished windows are exact), in ascending order,
 // with every posting of the query lists either read or skipped.
@@ -129,7 +114,7 @@ void ExpectSoundPrefix(const QueryResult& full, const QueryResult& partial,
   ASSERT_LE(partial.matches.size(), full.matches.size()) << context;
   std::vector<Match> prefix(full.matches.begin(),
                             full.matches.begin() + partial.matches.size());
-  ExpectIdentical(prefix, partial.matches, context);
+  testing_util::ExpectSameMatches(prefix, partial.matches, context);
 }
 
 uint64_t ListPostings(const PreparedQuery& q) {
@@ -179,10 +164,10 @@ TEST(SortByIdKernelTest, MemoryAndDiskMatchLinearScanBitForBit) {
       QueryResult scan =
           LinearScanSelect(sel.measure(), sel.collection(), nq.q, tau);
       QueryResult mem = SortByIdSelect(sel.index(), sel.measure(), nq.q, tau);
-      ExpectIdentical(scan.matches, mem.matches, context + " mem");
+      testing_util::ExpectSameMatches(scan.matches, mem.matches, context + " mem");
       QueryResult on_disk =
           sel.SelectPrepared(nq.q, tau, AlgorithmKind::kSortById, disk);
-      ExpectIdentical(scan.matches, on_disk.matches, context + " disk");
+      testing_util::ExpectSameMatches(scan.matches, on_disk.matches, context + " disk");
       // Every list is read completely: elements, and ⌈size/P⌉ sequential
       // pages per list.
       for (const QueryResult* r : {&mem, &on_disk}) {
@@ -218,7 +203,7 @@ TEST(SortByIdKernelTest, ControlledPartialsAreSoundPrefixes) {
         ExpectSoundPrefix(full, r, context);
         if (r.complete()) {
           EXPECT_LE(full.counters.elements_read, budget) << context;
-          ExpectIdentical(full.matches, r.matches, context);
+          testing_util::ExpectSameMatches(full.matches, r.matches, context);
         } else {
           EXPECT_EQ(r.termination, Termination::kBudget) << context;
           EXPECT_GT(r.counters.elements_read, budget) << context;
@@ -257,7 +242,7 @@ TEST(SortByIdKernelTest, UntrippedControlChargesLikeTheHoistedPath) {
     QueryResult metered =
         SortByIdSelect(sel.index(), sel.measure(), nq.q, 0.3, opts);
     ASSERT_TRUE(metered.complete()) << nq.name;
-    ExpectIdentical(plain.matches, metered.matches, nq.name);
+    testing_util::ExpectSameMatches(plain.matches, metered.matches, nq.name);
     EXPECT_EQ(metered.counters.elements_read, plain.counters.elements_read)
         << nq.name;
     EXPECT_EQ(metered.counters.seq_page_reads, plain.counters.seq_page_reads)

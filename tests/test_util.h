@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <iomanip>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -64,17 +67,61 @@ inline std::vector<std::string> MakeQueries(
   return queries;
 }
 
-/// Asserts two match vectors are identical (ids and exact scores).
+/// The first difference between two answers — the count, or an id or a
+/// score's bits at some rank — or "" when they are identical.
+inline std::string MatchDifference(const std::vector<Match>& expected,
+                                   const std::vector<Match>& actual) {
+  if (expected.size() != actual.size()) {
+    return "count " + std::to_string(expected.size()) + " vs " +
+           std::to_string(actual.size());
+  }
+  for (size_t i = 0; i < expected.size(); ++i) {
+    if (expected[i].id != actual[i].id ||
+        std::bit_cast<uint64_t>(expected[i].score) !=
+            std::bit_cast<uint64_t>(actual[i].score)) {
+      std::ostringstream out;
+      out << std::setprecision(17) << "rank " << i << ": id "
+          << expected[i].id << " score " << expected[i].score << " vs id "
+          << actual[i].id << " score " << actual[i].score;
+      return out.str();
+    }
+  }
+  return "";
+}
+
+/// Asserts two match vectors are identical (ids and score bits).
 inline void ExpectSameMatches(const std::vector<Match>& expected,
                               const std::vector<Match>& actual,
                               const std::string& context) {
-  ASSERT_EQ(expected.size(), actual.size())
-      << context << ": result count mismatch";
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i].id, actual[i].id) << context << " at rank " << i;
-    EXPECT_DOUBLE_EQ(expected[i].score, actual[i].score)
-        << context << " score of id " << actual[i].id;
+  EXPECT_EQ(MatchDifference(expected, actual), "") << context;
+}
+
+/// Why `partial` is not a sound subset of the complete answer `full` — a
+/// failed status, a results count that disagrees, a match absent from
+/// `full` or with other score bits, or ids out of ascending order — or ""
+/// when it is one.
+inline std::string PartialDifference(const QueryResult& full,
+                                     const QueryResult& partial) {
+  if (!partial.status.ok()) return "status " + partial.status.ToString();
+  if (partial.counters.results != partial.matches.size()) {
+    return "counters.results disagrees with the match count";
   }
+  size_t fi = 0;
+  for (size_t i = 0; i < partial.matches.size(); ++i) {
+    const Match& m = partial.matches[i];
+    if (i > 0 && partial.matches[i - 1].id >= m.id) {
+      return "ids out of order at rank " + std::to_string(i);
+    }
+    while (fi < full.matches.size() && full.matches[fi].id < m.id) ++fi;
+    if (fi == full.matches.size() || full.matches[fi].id != m.id) {
+      return "id " + std::to_string(m.id) + " absent from the complete answer";
+    }
+    if (std::bit_cast<uint64_t>(full.matches[fi].score) !=
+        std::bit_cast<uint64_t>(m.score)) {
+      return "score bits of id " + std::to_string(m.id) + " differ";
+    }
+  }
+  return "";
 }
 
 /// Asserts a tripped query's answer is sound: every match is in the complete
@@ -82,19 +129,7 @@ inline void ExpectSameMatches(const std::vector<Match>& expected,
 inline void ExpectSoundPartial(const QueryResult& full,
                                const QueryResult& partial,
                                const std::string& context) {
-  EXPECT_TRUE(partial.status.ok()) << context;
-  EXPECT_EQ(partial.counters.results, partial.matches.size()) << context;
-  size_t fi = 0;
-  for (const Match& m : partial.matches) {
-    while (fi < full.matches.size() && full.matches[fi].id < m.id) ++fi;
-    ASSERT_TRUE(fi < full.matches.size() && full.matches[fi].id == m.id)
-        << context << ": partial reported id " << m.id
-        << " absent from the complete answer";
-    EXPECT_EQ(full.matches[fi].score, m.score) << context << " id " << m.id;
-  }
-  for (size_t i = 1; i < partial.matches.size(); ++i) {
-    EXPECT_LT(partial.matches[i - 1].id, partial.matches[i].id) << context;
-  }
+  EXPECT_EQ(PartialDifference(full, partial), "") << context;
 }
 
 /// Checks that a selector running the shared Shortest-First loop (TfIdfSelector,
