@@ -564,9 +564,10 @@ int RunServe(int argc, char** argv) {
     if (!trace_out.empty()) WriteTraceFile(trace_out, trace);
     if (serving.result_cache() != nullptr) {
       const serve::ResultCache& cache = *serving.result_cache();
-      std::printf("  cache: %llu hits / %llu misses (%.1f%% hit rate, "
-                  "%zu entries)\n",
+      std::printf("  cache: %llu hits (%llu patched over inserts) / %llu "
+                  "misses (%.1f%% hit rate, %zu entries)\n",
                   (unsigned long long)cache.hits(),
+                  (unsigned long long)cache.patches(),
                   (unsigned long long)cache.misses(), 100.0 * cache.HitRate(),
                   cache.entries());
     }

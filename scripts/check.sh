@@ -25,8 +25,11 @@
 #      one shared index/store/pool, serving_test's scatter-gather +
 #      result-cache soak, dynamic_concurrency_test's readers x writer
 #      x online-Rebuild soak on one DynamicSelector (epoch reclamation,
-#      delta publish, segment swap) and its sketch-tier on/off readers
-#      against a live writer, server_test's live-socket integration tests
+#      delta publish, segment swap), its sketch-tier on/off readers
+#      against a live writer and its cached readers x writer x
+#      background-rebuild replay (PatchedHitsMatchUncachedAcross-
+#      BackgroundRebuilds: patched result-cache hits against uncached
+#      answers while appends land mid-build), server_test's live-socket integration tests
 #      (admission, drain, SLO), and oracle_test's pooled segment fan-outs
 #      (the differential oracle over every configuration) — must produce
 #      zero race reports (build-tsan/).

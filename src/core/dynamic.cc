@@ -101,10 +101,12 @@ class DeltaIndex {
   }
 
   /// Visits the positions of records containing `token`, restricted to
-  /// pos < limit, in ascending order. Returns the number visited.
+  /// from <= pos < limit, in ascending order. Returns the number visited.
+  /// A node whose last position lies below `from` is skipped whole.
   template <typename Fn>
-  size_t ForEachPosting(TokenId token, uint32_t limit, Fn&& fn) const {
-    if (token >= num_tokens_ || limit == 0) return 0;
+  size_t ForEachPosting(TokenId token, uint32_t from, uint32_t limit,
+                        Fn&& fn) const {
+    if (token >= num_tokens_ || from >= limit) return 0;
     const TokenList& list = tokens_[token];
     uint32_t total = list.size.load(std::memory_order_acquire);
     PostingNode* node = list.head.load(std::memory_order_acquire);
@@ -112,9 +114,11 @@ class DeltaIndex {
     for (uint32_t i = 0; node != nullptr && i < total; ) {
       uint32_t in_node = static_cast<uint32_t>(
           std::min<uint64_t>(kNodeCap, total - i));
-      for (uint32_t k = 0; k < in_node; ++k) {
+      for (uint32_t k = node->pos[in_node - 1] < from ? in_node : 0;
+           k < in_node; ++k) {
         uint32_t pos = node->pos[k];
         if (pos >= limit) return visited;  // ascending: nothing more <limit
+        if (pos < from) continue;
         fn(pos);
         ++visited;
       }
@@ -172,6 +176,8 @@ struct State {
   /// version() of this generation with an empty delta; the live version is
   /// base_version + delta count.
   uint64_t base_version = 0;
+  /// 0 at construction, +1 per Rebuild swap (Snapshot::generation).
+  uint64_t generation = 0;
   std::unique_ptr<DeltaIndex> delta;
 };
 
@@ -219,7 +225,7 @@ DeltaRecord Analyze(const std::string& text, const SimilaritySelector& main) {
 }
 
 /// The delta part of a snapshot query over the records at positions
-/// [0, count): gathers candidate positions from the query tokens' posting
+/// [from, count): gathers candidate positions from the query tokens' posting
 /// lists, screens them with the sketch tier when it is on, and scores each
 /// survivor with the main measure's canonical scorer, so a delta record
 /// scores bit-identically to the same record in a main segment. Record pos
@@ -227,7 +233,7 @@ DeltaRecord Analyze(const std::string& text, const SimilaritySelector& main) {
 /// `result` in id order. The control is polled per token list and per
 /// candidate batch, as in the kernels; a trip keeps the matches already
 /// scored (exact) and sets `result->termination`.
-void SelectDelta(const DeltaIndex& delta, uint32_t count,
+void SelectDelta(const DeltaIndex& delta, uint32_t from, uint32_t count,
                  const SimilaritySelector& main, const PreparedQuery& q,
                  double tau, const SelectOptions& options,
                  QueryResult* result) {
@@ -238,7 +244,7 @@ void SelectDelta(const DeltaIndex& delta, uint32_t count,
   for (TokenId token : q.tokens) {
     if (poller.ShouldStop()) break;
     size_t visited = delta.ForEachPosting(
-        token, count,
+        token, from, count,
         [&candidates](uint32_t pos) { candidates.push_back(pos); });
     postings += visited;
     counters.elements_read += visited;
@@ -357,6 +363,10 @@ uint64_t DynamicSelector::Snapshot::version() const {
   return state_->base_version + delta_count_;
 }
 
+uint64_t DynamicSelector::Snapshot::generation() const {
+  return state_->generation;
+}
+
 size_t DynamicSelector::Snapshot::size() const {
   return state_->main->collection().size() + delta_count_;
 }
@@ -392,7 +402,7 @@ QueryResult DynamicSelector::Snapshot::SelectPrepared(
   // result's matches are cleared, and a tripped partial must not look
   // fuller than its termination admits.
   if (result.complete() && delta_count_ > 0) {
-    dynamic_internal::SelectDelta(*state_->delta, delta_count_, main, q,
+    dynamic_internal::SelectDelta(*state_->delta, 0, delta_count_, main, q,
                                   clamped, options, &result);
   }
   result.snapshot_version = version();
@@ -400,6 +410,17 @@ QueryResult DynamicSelector::Snapshot::SelectPrepared(
                                static_cast<uint64_t>(timer.ElapsedMicros()),
                                run_trace);
   return result;
+}
+
+void DynamicSelector::Snapshot::PatchDelta(const PreparedQuery& q,
+                                           double clamped_tau, uint32_t from,
+                                           const SelectOptions& options,
+                                           QueryResult* result) const {
+  SIMSEL_CHECK(from <= delta_count_);
+  dynamic_internal::SelectDelta(*state_->delta, from, delta_count_,
+                                *state_->main, q, clamped_tau, options,
+                                result);
+  result->snapshot_version = version();
 }
 
 SetId DynamicSelector::AddRecord(std::string text) {
@@ -527,6 +548,7 @@ void DynamicSelector::DoRebuild() {
     // folded into the main stop counting as delta, carried records keep
     // counting. old = base + live_count  →  new = old + 1.
     next->base_version = old->base_version + fold_count + 1;
+    next->generation = old->generation + 1;
     state_.store(next, std::memory_order_seq_cst);
     version_.store(next->base_version + (live_count - fold_count),
                    std::memory_order_release);

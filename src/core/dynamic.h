@@ -89,6 +89,13 @@ class DynamicSelector {
     /// The selector version this view corresponds to (see
     /// DynamicSelector::version).
     uint64_t version() const;
+    /// The rebuild generation of the pinned main part: 0 at construction,
+    /// +1 per Rebuild swap. Statistics are frozen within a generation, so
+    /// with delta_size() as the cut it is the serving cache's stamp
+    /// (serve::CacheStamp). Stored, not derived from version(): a rebuild
+    /// that carries mid-build appends gives the new generation versions
+    /// the old one already had.
+    uint64_t generation() const;
     size_t size() const;
     size_t delta_size() const;
     /// The pinned main part; valid while this snapshot is alive.
@@ -104,6 +111,16 @@ class DynamicSelector {
     QueryResult SelectPrepared(const PreparedQuery& q, double tau,
                                AlgorithmKind kind,
                                const SelectOptions& options) const;
+    /// Brings `*result` — a complete answer to `q` at `clamped_tau` from
+    /// this generation, exact at delta cut `from` <= delta_size() (a cached
+    /// answer) — up to this snapshot: runs the delta part over positions
+    /// [from, delta_size()) only, appending its matches (their ids lie above
+    /// every older id) and adding its reads to `result->counters`, and
+    /// stamps version(). The postings below `from` are skipped a whole
+    /// posting node at a time. Records no query metrics: the query was
+    /// executed, and flushed, once by the answer's first run.
+    void PatchDelta(const PreparedQuery& q, double clamped_tau, uint32_t from,
+                    const SelectOptions& options, QueryResult* result) const;
 
     /// Made by DynamicSelector::snapshot (State is internal to it).
     Snapshot(EpochManager::Guard guard, const dynamic_internal::State* state,
@@ -181,19 +198,19 @@ class DynamicSelector {
   void WaitForRebuild() const;
   bool rebuild_in_progress() const;
 
-  /// Monotone content version: bumped by every AddRecord and Rebuild. A
-  /// cached query answer stamped with the version at execution time
-  /// (QueryResult::snapshot_version) is valid exactly while the version is
-  /// unchanged — this is the epoch the serving layer's result cache keys on
-  /// (serve/result_cache.h, DynamicServing), so one integer compare
-  /// invalidates every stale entry without scanning the cache.
+  /// Monotone content version: bumped by every AddRecord and Rebuild, and
+  /// stamped on every answer (QueryResult::snapshot_version), which is
+  /// byte-identical to a serial query against the collection frozen at it.
+  /// Strictly monotone, so two equal reads bracket one unchanged
+  /// collection. The serving cache does not key on it: it stamps answers
+  /// with Snapshot::generation() and the delta cut, because an answer of
+  /// one generation stays exact across appends once the newer delta
+  /// records are patched in (serve/result_cache.h).
   ///
   /// Ordering: the counter is released *after* the content change it
   /// stamps is visible (delta publish / segment swap), so an observer that
   /// reads version v and then queries sees a collection at least as new as
-  /// v — a cache keyed on it can go stale-then-miss but never serve a
-  /// wrong hit. Reads are acquire loads; there is no torn read (the PR 8
-  /// fix — this was a plain uint64_t racing the writers).
+  /// v. Reads are acquire loads; there is no torn read.
   uint64_t version() const {
     return version_.load(std::memory_order_acquire);
   }

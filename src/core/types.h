@@ -107,13 +107,13 @@ struct QueryResult {
   /// The per-phase trace this query was run with (== SelectOptions::trace),
   /// filled by the time the result is returned; null when tracing was off.
   const obs::QueryTrace* trace = nullptr;
-  /// The version of the collection this answer was computed against, the
-  /// epoch a cached copy is keyed on: a DynamicSelector snapshot's
-  /// version() (the result is byte-identical to a serial query against the
-  /// collection frozen at exactly this version, and a cached copy stays
-  /// valid while DynamicSelector::version() still returns it), the constant
-  /// serve::ShardedSelector::kVersion from that cache-fronted selector, 0
-  /// from a plain SimilaritySelector of any segment count.
+  /// The version of the collection this answer was computed against: a
+  /// DynamicSelector snapshot's version() (the result is byte-identical to
+  /// a serial query against the collection frozen at exactly this version,
+  /// whether it ran, hit the serving cache or was patched forward from an
+  /// older cached cut), the constant serve::ShardedSelector::kVersion from
+  /// that cache-fronted selector, 0 from a plain SimilaritySelector of any
+  /// segment count.
   uint64_t snapshot_version = 0;
 
   /// True when this is the full, trustworthy answer.

@@ -19,9 +19,9 @@ DynamicServing::DynamicServing(const std::vector<std::string>& initial,
 
 SetId DynamicServing::AddRecord(std::string text) {
   SetId id = selector_.AddRecord(std::move(text));
-  // No cache touch needed: the version bump the append released already
-  // invalidated every older-stamped entry (stale entries miss and are
-  // erased lazily on their next lookup).
+  // No cache touch needed: an entry of this generation is patched forward
+  // over the new record on its next hit (CachedSelect), and one of an older
+  // generation is erased on its next lookup.
   if (rebuild_threshold_ > 0 &&
       selector_.delta_size() >= rebuild_threshold_) {
     if (pool_ != nullptr) {
@@ -40,14 +40,22 @@ QueryResult DynamicServing::Select(std::string_view query, double tau,
                                    const SelectOptions& options) const {
   DynamicSelector::Snapshot snap = selector_.snapshot();
   PreparedQuery q = snap.Prepare(query);
-  // The cache epoch is the pinned snapshot's version: key and execution
-  // then agree on one frozen-statistics generation even if a rebuild swap
-  // lands between them.
-  return CachedSelect(cache_.get(), q, tau, kind, options,
-                      selector_.disk_mode(), snap.main().measure().name(),
-                      snap.version(), [&](double clamped) {
-                        return snap.SelectPrepared(q, clamped, kind, options);
-                      });
+  // The stamp is the pinned snapshot's generation and delta cut: key,
+  // execution and patch then agree on one frozen-statistics generation even
+  // if a rebuild swap lands between them.
+  QueryResult out = CachedSelect(
+      cache_.get(), q, tau, kind, options, selector_.disk_mode(),
+      snap.main().measure().name(),
+      CacheStamp{snap.generation(), snap.delta_size()},
+      [&](double clamped) {
+        return snap.SelectPrepared(q, clamped, kind, options);
+      },
+      [&](double clamped, uint64_t cut, QueryResult* result) {
+        snap.PatchDelta(q, clamped, static_cast<uint32_t>(cut), options,
+                        result);
+      });
+  out.snapshot_version = snap.version();
+  return out;
 }
 
 }  // namespace simsel::serve

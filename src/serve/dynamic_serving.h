@@ -29,19 +29,23 @@ struct DynamicServingOptions {
   ThreadPool* pool = nullptr;
 };
 
-/// The read-write serving layer: a DynamicSelector fronted by a versioned
+/// The read-write serving layer: a DynamicSelector fronted by a
 /// ResultCache, with an automatic online-rebuild policy.
 ///
 /// This is the one back end of serve::Server. Queries go through
-/// CachedSelect, the same cache-fronted sequence as ShardedSelector's:
-/// every cache entry is stamped with the selector version of the snapshot
-/// that produced it (QueryResult::snapshot_version), and lookups present
-/// the *current* version — so one atomic counter bump
-/// per AddRecord/Rebuild invalidates every stale answer in O(1), with
-/// DynamicSelector::version() as the cache epoch (serve/result_cache.h). A
-/// query racing an insert can only under-stamp (its snapshot version),
-/// never over-stamp, so a stale entry can cause a miss but never a wrong
-/// hit.
+/// CachedSelect, the same cache-fronted sequence as ShardedSelector's.
+/// Every entry is stamped with the rebuild generation and delta cut of the
+/// snapshot that produced it (serve::CacheStamp). Statistics are frozen
+/// within a generation, so an insert invalidates nothing: a later query of
+/// the same generation hits the entry and patches it with the delta part
+/// over the records appended since its cut
+/// (DynamicSelector::Snapshot::PatchDelta), then re-stamps it. A Rebuild
+/// starts a new generation, and the old generation's entries miss and are
+/// erased. The generation is stored, not derived from the version: a
+/// background rebuild that carries records appended mid-build gives the
+/// new generation versions the old one already had. A query racing an
+/// insert presents its own snapshot's cut, so an entry re-stamped past it
+/// by a faster reader is a miss for it, never a wrong hit.
 ///
 /// Thread-safe: Select/AddRecord/Rebuild may race freely (the selector is
 /// internally synchronized; the cache is sharded). Do not call Select from

@@ -53,6 +53,7 @@ ResultCache::ResultCache(ResultCacheOptions options)
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   hits_metric_ = reg.GetCounter("simsel_result_cache_hits_total");
   misses_metric_ = reg.GetCounter("simsel_result_cache_misses_total");
+  patches_metric_ = reg.GetCounter("simsel_result_cache_patches_total");
   insertions_metric_ = reg.GetCounter("simsel_result_cache_insertions_total");
   evictions_metric_ = reg.GetCounter("simsel_result_cache_evictions_total");
   invalidations_metric_ =
@@ -92,6 +93,7 @@ std::string ResultCache::MakeKey(const PreparedQuery& q, double clamped_tau,
   flags |= options.f_cutoff ? 1u << 4 : 0;
   flags |= options.lazy_candidate_scan ? 1u << 5 : 0;
   flags |= disk_mode ? 1u << 6 : 0;
+  flags |= options.prefilter ? 1u << 7 : 0;
   key.push_back(static_cast<char>(flags));
   key.append(measure_name);
   key.push_back('\0');
@@ -116,8 +118,8 @@ std::string ResultCache::MakeKey(const PreparedQuery& q, double clamped_tau,
 bool ResultCache::LookupQuery(const PreparedQuery& q, double clamped_tau,
                               AlgorithmKind kind, const SelectOptions& options,
                               bool disk_mode, std::string_view measure_name,
-                              uint64_t epoch, std::string* key,
-                              QueryResult* out) {
+                              CacheStamp at, std::string* key,
+                              QueryResult* out, uint64_t* cut) {
   static obs::Histogram* const latency =
       obs::MetricsRegistry::Global().GetHistogram(
           "simsel_serve_stage_latency_usec",
@@ -126,11 +128,12 @@ bool ResultCache::LookupQuery(const PreparedQuery& q, double clamped_tau,
   obs::TraceScope span(options.trace, "cache_lookup");
   *key = MakeKey(q, clamped_tau, kind, options, disk_mode, measure_name);
   CachedResult cached;
-  const bool hit = Lookup(*key, epoch, &cached);
+  const bool hit = Lookup(*key, at, &cached);
   latency->Observe(static_cast<uint64_t>(timer.ElapsedMicros()));
   if (hit) {
     out->matches = std::move(cached.matches);
     out->counters = cached.counters;
+    *cut = cached.cut;
   }
   return hit;
 }
@@ -148,7 +151,7 @@ void ResultCache::Erase(Shard* shard, std::list<Entry>::iterator it) {
   shard->lru.erase(it);
 }
 
-bool ResultCache::Lookup(const std::string& key, uint64_t epoch,
+bool ResultCache::Lookup(const std::string& key, CacheStamp at,
                          CachedResult* out) {
   Shard& shard = ShardFor(key);
   bool invalidated = false;
@@ -157,16 +160,22 @@ bool ResultCache::Lookup(const std::string& key, uint64_t epoch,
     auto found = shard.map.find(std::string_view(key));
     if (found != shard.map.end()) {
       auto it = found->second;
-      if (it->epoch == epoch) {
+      if (it->generation == at.generation && it->result.cut <= at.cut) {
         shard.lru.splice(shard.lru.begin(), shard.lru, it);
         *out = it->result;
         hits_.fetch_add(1, std::memory_order_relaxed);
         hits_metric_->Increment();
+        if (out->cut < at.cut) {
+          patches_.fetch_add(1, std::memory_order_relaxed);
+          patches_metric_->Increment();
+        }
         return true;
       }
-      // Stamped before the last index update: the answer may have changed.
-      Erase(&shard, it);
-      invalidated = true;
+      if (it->generation < at.generation) {
+        // Scored under statistics a rebuild has since replaced.
+        Erase(&shard, it);
+        invalidated = true;
+      }
     }
   }
   if (invalidated) {
@@ -178,7 +187,7 @@ bool ResultCache::Lookup(const std::string& key, uint64_t epoch,
   return false;
 }
 
-void ResultCache::Insert(const std::string& key, uint64_t epoch,
+void ResultCache::Insert(const std::string& key, CacheStamp at,
                          const std::vector<Match>& matches,
                          const AccessCounters& counters) {
   const size_t bytes = EntryBytes(key, matches.size());
@@ -188,21 +197,37 @@ void ResultCache::Insert(const std::string& key, uint64_t epoch,
     std::lock_guard<std::mutex> lock(shard.mu);
     if (bytes > shard.capacity) return;  // would evict the whole shard
     auto found = shard.map.find(std::string_view(key));
-    if (found != shard.map.end()) Erase(&shard, found->second);
-    while (shard.bytes + bytes > shard.capacity) {
+    if (found == shard.map.end()) {
+      shard.lru.push_front(Entry{key, 0, 0, {}});
+      shard.map.emplace(std::string_view(shard.lru.front().key),
+                        shard.lru.begin());
+    } else {
+      auto it = found->second;
+      if (it->generation > at.generation ||
+          (it->generation == at.generation && it->result.cut >= at.cut)) {
+        return;
+      }
+      shard.lru.splice(shard.lru.begin(), shard.lru, it);
+    }
+    // Re-stamp in place at the front. The gauge mirror must move under the
+    // same shard lock as shard.bytes: outside it, a racing Clear() can sweep
+    // the shard before the Add lands, leaving the process-wide gauge
+    // permanently off the resident truth.
+    Entry& entry = shard.lru.front();
+    entry.generation = at.generation;
+    entry.result.matches = matches;
+    entry.result.counters = counters;
+    entry.result.cut = at.cut;
+    shard.bytes = shard.bytes - entry.bytes + bytes;
+    bytes_metric_->Add(static_cast<int64_t>(bytes) -
+                       static_cast<int64_t>(entry.bytes));
+    entry.bytes = bytes;
+    // The entry sits at the front and fits the shard alone, so the tail
+    // never reaches it.
+    while (shard.bytes > shard.capacity) {
       Erase(&shard, std::prev(shard.lru.end()));
       ++evicted;
     }
-    shard.lru.push_front(Entry{key, epoch, bytes, {matches, counters}});
-    shard.map.emplace(std::string_view(shard.lru.front().key),
-                      shard.lru.begin());
-    shard.bytes += bytes;
-    // The gauge mirror must move under the same shard lock as shard.bytes:
-    // outside it, a racing Clear() can sweep the shard (subtracting the new
-    // entry's bytes via the swept total) before this Add lands, leaving the
-    // process-wide gauge permanently above the resident truth — the gauge
-    // would no longer return to zero after Clear.
-    bytes_metric_->Add(static_cast<int64_t>(bytes));
   }
   insertions_.fetch_add(1, std::memory_order_relaxed);
   insertions_metric_->Increment();

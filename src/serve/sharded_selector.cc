@@ -43,12 +43,17 @@ QueryResult ShardedSelector::Select(std::string_view query, double tau,
 QueryResult ShardedSelector::SelectPrepared(const PreparedQuery& q, double tau,
                                             AlgorithmKind kind,
                                             const SelectOptions& options) const {
-  return CachedSelect(cache_.get(), q, tau, kind, options,
-                      selector_.disk_mode(), measure().name(), kVersion,
-                      [&](double clamped) {
-                        return selector_.SelectPrepared(q, clamped, kind,
-                                                        options);
-                      });
+  // One generation at cut 0 for good: an entry never trails, so the patch
+  // never runs.
+  QueryResult out = CachedSelect(
+      cache_.get(), q, tau, kind, options, selector_.disk_mode(),
+      measure().name(), CacheStamp{},
+      [&](double clamped) {
+        return selector_.SelectPrepared(q, clamped, kind, options);
+      },
+      [](double, uint64_t, QueryResult*) {});
+  out.snapshot_version = kVersion;
+  return out;
 }
 
 }  // namespace simsel::serve

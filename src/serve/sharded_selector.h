@@ -37,12 +37,13 @@ struct ShardedSelectorOptions {
 /// fan-out, sibling cancellation and tracing are the selector's (see
 /// SimilaritySelector); this class adds only the cache.
 ///
-/// **Caching.** With `cache_bytes > 0`, complete (untripped, OK) answers are
-/// cached under the full query fingerprint (ResultCache::MakeKey) through
-/// serve::CachedSelect, the sequence DynamicServing uses too. The selector
-/// is immutable after Build, so every answer — cached or not — carries the
-/// constant QueryResult::snapshot_version kVersion, and entries never go
-/// stale.
+/// **Caching.** With `cache_bytes > 0`, complete (untripped, OK) answers of
+/// queries without an active QueryControl are cached under the full query
+/// fingerprint (ResultCache::MakeKey) through serve::CachedSelect, the
+/// sequence DynamicServing uses too. The selector is immutable after Build,
+/// so every entry is stamped with one generation at cut 0 and never goes
+/// stale, and every answer — cached or not — carries the constant
+/// QueryResult::snapshot_version kVersion.
 ///
 /// Thread-compatible after Build: const queries may run concurrently (the
 /// cache is internally synchronized). The nested fan-out rule of

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -467,35 +469,123 @@ INSTANTIATE_TEST_SUITE_P(Modes, DynamicSoakParam, ::testing::Bool(),
                            return info.param ? "DiskMode" : "MemoryMode";
                          });
 
-// --- Serving layer: version-driven cache invalidation --------------------
+// --- Serving layer: cached answers patched across inserts ---------------
 
-TEST(DynamicServingTest, CacheInvalidatedByVersionBump) {
+TEST(DynamicServingTest, InsertPatchesTheCachedAnswerAndRebuildMisses) {
   serve::DynamicServingOptions options;
   options.cache_bytes = 1 << 20;
   const std::vector<std::string> base = BaseRecords();
   serve::DynamicServing serving(base, options);
-  ASSERT_NE(serving.result_cache(), nullptr);
+  serve::ResultCache& cache = *serving.result_cache();
   const std::string query = base[3];
 
   QueryResult first = serving.Select(query, 0.8);
   QueryResult second = serving.Select(query, 0.8);
   EXPECT_EQ(MatchDifference(first.matches, second.matches), "");
-  EXPECT_EQ(serving.result_cache()->hits(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
 
-  // One insert bumps the version: the cached entry is stale, the rerun
-  // sees the new record.
+  // An insert keeps the generation: the entry is hit and patched with the
+  // new record, and the answer equals the uncached one at the new version.
   SetId id = serving.AddRecord(query);
   QueryResult third = serving.Select(query, 0.8);
-  EXPECT_EQ(serving.result_cache()->hits(), 1u);  // miss, not a stale hit
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.patches(), 1u);
   EXPECT_EQ(third.snapshot_version, first.snapshot_version + 1);
-  bool found = false;
-  for (const Match& m : third.matches) found |= (m.id == id);
-  EXPECT_TRUE(found);
+  ASSERT_FALSE(third.matches.empty());
+  EXPECT_EQ(third.matches.back().id, id);
+  QueryResult uncached = serving.selector().Select(query, 0.8);
+  EXPECT_EQ(MatchDifference(uncached.matches, third.matches), "");
+  EXPECT_EQ(uncached.counters.elements_read, third.counters.elements_read);
+  EXPECT_EQ(uncached.counters.rows_scanned, third.counters.rows_scanned);
 
-  // The fresh answer was cached at the new version.
+  // The patched answer was re-stamped: the next lookup needs no patch.
   QueryResult fourth = serving.Select(query, 0.8);
-  EXPECT_EQ(serving.result_cache()->hits(), 2u);
+  EXPECT_EQ(cache.hits(), 3u);
+  EXPECT_EQ(cache.patches(), 1u);
   EXPECT_EQ(MatchDifference(third.matches, fourth.matches), "");
+
+  // A rebuild refreshes the statistics and starts a new generation: a
+  // miss. (The query prepares to a new key here, since its token weights
+  // and length changed; an old-generation entry under a key that survives
+  // the rebuild is erased on lookup, see serving_test.)
+  serving.Rebuild();
+  QueryResult fifth = serving.Select(query, 0.8);
+  EXPECT_EQ(cache.hits(), 3u);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(MatchDifference(serving.selector().Select(query, 0.8).matches,
+                            fifth.matches),
+            "");
+}
+
+// Readers x a writer x background rebuilds on one cached DynamicServing,
+// with appends landing mid-build so rebuilds carry records into the new
+// delta (the case where generation and version ranges overlap). A reader
+// pairs its cached Select with an uncached Snapshot::Select and compares
+// them, ids and score bits, when both carry the same snapshot_version: a
+// snapshot version names one state and cut, since a new generation's
+// versions start above every version of the old one.
+TEST(DynamicServingTest, PatchedHitsMatchUncachedAcrossBackgroundRebuilds) {
+  ThreadPool pool(2);
+  serve::DynamicServingOptions options;
+  options.cache_bytes = 1 << 20;
+  options.rebuild_threshold = 24;
+  options.pool = &pool;
+  const double tau = 0.6;
+  const std::vector<std::string> base = BaseRecords();
+  const std::vector<std::string> script =
+      testing_util::MakeWordRecords(240, /*seed=*/857);
+  std::vector<std::string> queries;
+  for (size_t i = 0; i < 6; ++i) queries.push_back(base[i * 13]);
+  for (size_t i = 0; i < 4; ++i) queries.push_back(script[i * 50]);
+
+  serve::DynamicServing serving(base, options);
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> compared{0};
+  std::vector<std::string> failures(3);
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < failures.size(); ++t) {
+    readers.emplace_back([&, t] {
+      size_t qi = t;
+      while (!done.load(std::memory_order_acquire) && failures[t].empty()) {
+        qi = (qi + 1) % queries.size();
+        const QueryResult cached = serving.Select(queries[qi], tau);
+        const QueryResult uncached =
+            serving.selector().snapshot().Select(queries[qi], tau);
+        if (!cached.complete()) {
+          failures[t] = "incomplete cached answer";
+        } else if (cached.snapshot_version == uncached.snapshot_version) {
+          const std::string diff =
+              MatchDifference(uncached.matches, cached.matches);
+          if (!diff.empty()) {
+            failures[t] = "q" + std::to_string(qi) + " at v" +
+                          std::to_string(cached.snapshot_version) + ": " +
+                          diff;
+          }
+          compared.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  size_t mid_build = 0;
+  for (const std::string& rec : script) {
+    mid_build += serving.selector().rebuild_in_progress() ? 1 : 0;
+    serving.AddRecord(rec);
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  serving.selector().WaitForRebuild();
+  while (compared.load(std::memory_order_relaxed) < 200 &&
+         std::all_of(failures.begin(), failures.end(),
+                     [](const std::string& f) { return f.empty(); })) {
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  for (const std::string& failure : failures) {
+    EXPECT_TRUE(failure.empty()) << failure;
+  }
+  EXPECT_GT(mid_build, 0u);
+  EXPECT_GT(serving.result_cache()->patches(), 0u);
+  EXPECT_GT(serving.selector().snapshot().generation(), 1u);
 }
 
 TEST(DynamicServingTest, ConcurrentCachedReadsNeverServeStaleResults) {

@@ -43,6 +43,7 @@
 #include "core/internal.h"
 #include "core/linear_scan.h"
 #include "core/selector.h"
+#include "serve/dynamic_serving.h"
 #include "serve/sharded_selector.h"
 #include "storage/codec.h"
 #include "storage/posting_store.h"
@@ -299,14 +300,15 @@ constexpr Ablation kAblations[] = {
     {"AllOff", kNoLengthBound | kNoSkipIndex | kNoOrder | kNoMagnitude}};
 
 enum class Storage { kMemory, kDisk, kDiskPool, kCallerStore };
-enum class Door { kSelector, kSharded, kDynamic, kDelta, kRebuilt };
+enum class Door { kSelector, kSharded, kDynamic, kDelta, kRebuilt, kServing };
 enum class Image { kBuilt, kV2, kV3, kV4 };
 enum class Control { kNone, kBudgetOne, kBudgetSeeded, kCancel, kDeadline };
 
 const char* const kStorageNames[] = {"memory", "disk", "disk+pool",
                                      "caller-store"};
-const char* const kDoorNames[] = {"selector", "sharded+cache", "dynamic",
-                                  "dynamic+delta", "dynamic-rebuilt"};
+const char* const kDoorNames[] = {"selector",        "sharded+cache",
+                                  "dynamic",         "dynamic+delta",
+                                  "dynamic-rebuilt", "dynamic+delta+cache"};
 const char* const kImageNames[] = {"built", "v2", "v3", "v4"};
 const char* const kControlNames[] = {"none", "budget=1", "budget=seeded",
                                      "cancelled", "expired-deadline"};
@@ -386,8 +388,8 @@ std::vector<Config> SweepConfigs() {
   }
   for (size_t k : {3, 8}) out.push_back({.segments = k});
   for (size_t k : {1, 3, 8}) out.push_back({.segments = k, .pool = true});
-  for (Door d :
-       {Door::kSharded, Door::kDynamic, Door::kDelta, Door::kRebuilt}) {
+  for (Door d : {Door::kSharded, Door::kDynamic, Door::kDelta,
+                 Door::kRebuilt, Door::kServing}) {
     out.push_back({.door = d});
   }
   for (Image i : {Image::kV2, Image::kV3, Image::kV4}) {
@@ -404,7 +406,8 @@ std::vector<Config> SweepConfigs() {
   // shards, a delta, a rebuild and a v4 image; a dynamic index over K
   // segments on disk; a tripped pooled fan-out over disk shards.
   out.push_back({.storage = Storage::kDisk, .sketches = true});
-  for (Door d : {Door::kSharded, Door::kDelta, Door::kRebuilt}) {
+  for (Door d :
+       {Door::kSharded, Door::kDelta, Door::kRebuilt, Door::kServing}) {
     out.push_back({.segments = 3, .door = d, .sketches = true});
   }
   out.push_back({.image = Image::kV4, .sketches = true});
@@ -419,6 +422,11 @@ std::vector<Config> SweepConfigs() {
                  .pool = true,
                  .door = Door::kSharded,
                  .control = Control::kBudgetOne});
+  // A limited query on a cached front door after a cached fill runs, and
+  // trips, on its own.
+  for (Door d : {Door::kSharded, Door::kServing}) {
+    out.push_back({.door = d, .control = Control::kBudgetOne});
+  }
   for (Config& c : out) c = Normalize(c);
   return out;
 }
@@ -433,7 +441,7 @@ Config RandomConfig(std::mt19937_64* rng, bool soak) {
   c.storage = static_cast<Storage>(pick(4));
   c.segments = std::vector<size_t>{1, 3, 8}[pick(3)];
   c.pool = pick(2) == 1;
-  c.door = static_cast<Door>(pick(5));
+  c.door = static_cast<Door>(pick(6));
   c.image = pick(4) == 0 ? static_cast<Image>(1 + pick(3)) : Image::kBuilt;
   c.sketches = pick(2) == 1;
   c.prefilter = pick(2) == 1;
@@ -443,11 +451,17 @@ Config RandomConfig(std::mt19937_64* rng, bool soak) {
 
 // --- Front doors under a configuration. ---
 
-/// One built front door: exactly one of selector, sharded and dynamic.
+/// One built front door: exactly one of selector, sharded, dynamic and
+/// serving.
 struct Front {
   std::unique_ptr<SimilaritySelector> selector;
   std::unique_ptr<serve::ShardedSelector> sharded;
   std::unique_ptr<DynamicSelector> dynamic;
+  std::unique_ptr<serve::DynamicServing> serving;
+  /// Beside `serving`, the same cached index that takes an insert between
+  /// repeated queries, so its hits are patched; `serving` stays fixed for
+  /// the reference.
+  std::unique_ptr<serve::DynamicServing> patching;
   /// A rebuilt dynamic index's reference: a fresh build of every record.
   std::unique_ptr<SimilaritySelector> fresh;
   /// Storage::kCallerStore's SelectOptions::posting_store.
@@ -457,6 +471,17 @@ struct Front {
     if (selector) selector->set_thread_pool(pool);
     if (sharded) sharded->set_thread_pool(pool);
     if (dynamic) dynamic->set_thread_pool(pool);
+    if (serving) serving->selector().set_thread_pool(pool);
+    if (patching) patching->selector().set_thread_pool(pool);
+  }
+  /// The dynamic index of a dynamic or serving door, else null.
+  const DynamicSelector* Dynamic() const {
+    return serving ? &serving->selector() : dynamic.get();
+  }
+  /// The result cache a text query goes through, or null.
+  serve::ResultCache* Cache(const Query& query) const {
+    if (sharded) return sharded->result_cache();
+    return serving && !query.one_token ? serving->result_cache() : nullptr;
   }
   /// Runs `query` through the text entry, or `q` through the prepared one
   /// when the query exists only prepared.
@@ -465,16 +490,17 @@ struct Front {
     if (query.one_token) {
       if (selector) return selector->SelectPrepared(q, tau, kind, options);
       if (sharded) return sharded->SelectPrepared(q, tau, kind, options);
-      return dynamic->snapshot().SelectPrepared(q, tau, kind, options);
+      return Dynamic()->snapshot().SelectPrepared(q, tau, kind, options);
     }
     if (selector) return selector->Select(query.text, tau, kind, options);
     if (sharded) return sharded->Select(query.text, tau, kind, options);
+    if (serving) return serving->Select(query.text, tau, kind, options);
     return dynamic->Select(query.text, tau, kind, options);
   }
   size_t num_segments() const {
     if (selector) return selector->num_segments();
     if (sharded) return sharded->num_shards();
-    return dynamic->snapshot().main().num_segments();
+    return Dynamic()->snapshot().main().num_segments();
   }
 };
 
@@ -546,6 +572,15 @@ std::unique_ptr<Front> BuildFront(const World& w, const Config& c,
           SimilaritySelector::Build(all, w.build));
     }
   }
+  if (c.door == Door::kServing) {
+    serve::DynamicServingOptions options;
+    options.build = build;
+    options.cache_bytes = 1 << 20;
+    for (auto* serving : {&f->serving, &f->patching}) {
+      *serving = std::make_unique<serve::DynamicServing>(w.records, options);
+      for (const std::string& text : w.inserts) (*serving)->AddRecord(text);
+    }
+  }
   if (f->num_segments() !=
       std::min(c.segments, std::max<size_t>(1, num_records))) {
     *error = "built " + std::to_string(f->num_segments()) + " segments";
@@ -555,7 +590,7 @@ std::unique_ptr<Front> BuildFront(const World& w, const Config& c,
     const InvertedIndex& index =
         f->selector  ? f->selector->index()
         : f->sharded ? f->sharded->shard_index(0)
-                     : f->dynamic->snapshot().main().index();
+                     : f->Dynamic()->snapshot().main().index();
     f->store = std::make_unique<PostingStore>(PostingStore::Build(index));
   }
   return f;
@@ -739,8 +774,8 @@ class Oracle {
     for (const Match& m : e.matches) {
       e.lens.push_back(stats.measure().set_length(m.id));
     }
-    if (f.dynamic != nullptr && f.fresh == nullptr) {
-      AppendDeltaMatches(stats, f.dynamic->snapshot(), q,
+    if (f.Dynamic() != nullptr && f.fresh == nullptr) {
+      AppendDeltaMatches(stats, f.Dynamic()->snapshot(), q,
                          internal::ClampTau(tau), &e);
     }
     return expected_.emplace(key, std::move(e)).first->second;
@@ -772,11 +807,22 @@ class Oracle {
 
     f->SetPool(c.pool ? &pool_ : nullptr);
     const SelectOptions options = Options(w, *f, c, query);
-    serve::ResultCache* cache =
-        f->sharded ? f->sharded->result_cache() : nullptr;
-    const uint64_t hits = cache ? cache->hits() : 0;
+    serve::ResultCache* cache = f->Cache(query);
+    const bool limited = c.control != Control::kNone;
+    if (cache != nullptr && limited) {
+      // Fill the entry first: a limited query must still run on its own.
+      SelectOptions unlimited = options;
+      unlimited.control = QueryControl();
+      f->Select(query, q, tau, kind, unlimited);
+    }
+    auto traffic_of = [](const serve::ResultCache* rc) {
+      return rc->hits() + rc->misses() + rc->insertions();
+    };
+    const uint64_t cache_traffic = cache ? traffic_of(cache) : 0;
     const QueryResult r = f->Select(query, q, tau, kind, options);
-    const bool hit = cache != nullptr && cache->hits() > hits;
+    if (cache != nullptr && limited && traffic_of(cache) != cache_traffic) {
+      return "a limited query went through the result cache";
+    }
     if (!r.status.ok()) return "status " + r.status.ToString();
     if (r.counters.results != r.matches.size()) {
       return "counters.results " + std::to_string(r.counters.results) +
@@ -806,8 +852,32 @@ class Oracle {
       if (!diff.empty()) return "unsound partial answer: " + diff;
     }
     if ((c.control == Control::kCancel || c.control == Control::kDeadline) &&
-        r.complete() && !hit && !expected.matches.empty()) {
+        r.complete() && !expected.matches.empty()) {
       return "a preset trip answered in full";
+    }
+    if (cache != nullptr && limited && !c.pool) {
+      // Its own partial and counters: those of the same query uncached.
+      QueryResult own;
+      if (f->serving) {
+        own = f->serving->selector().Select(query.text, tau, kind, options);
+      } else {
+        Config twin = c;
+        twin.door = Door::kSelector;
+        Front* tf = FrontFor(w, twin, &error);
+        if (tf == nullptr) return error;
+        tf->SetPool(nullptr);
+        own = tf->Select(query, q, tau, kind, Options(w, *tf, twin, query));
+      }
+      if (own.termination != r.termination ||
+          !MatchDifference(own.matches, r.matches).empty() ||
+          own.counters.elements_read != r.counters.elements_read ||
+          own.counters.rows_scanned != r.counters.rows_scanned) {
+        return std::string("a limited query on a cached door ended ") +
+               TerminationName(r.termination) + " with " +
+               r.counters.ToString() + ", uncached " +
+               TerminationName(own.termination) + " with " +
+               own.counters.ToString();
+      }
     }
     if (ConsumesLists(kind)) {
       if (r.counters.elements_read + r.counters.elements_skipped !=
@@ -829,15 +899,14 @@ class Oracle {
     // The same configuration in memory, or built instead of reloaded, reads
     // and skips exactly as much (a v2/v3 image carries no sketches, so the
     // tier may answer on one side only). Only complete answers compare
-    // when a trip on a pooled fan-out cancels its siblings at a racy point,
-    // or when a cache may answer a limited query with a complete one.
+    // when a trip on a pooled fan-out cancels its siblings at a racy point.
     auto same_work = [&](const Config& twin) -> std::string {
       Front* tf = FrontFor(w, twin, &error);
       if (tf == nullptr) return error;
       tf->SetPool(c.pool ? &pool_ : nullptr);
       const QueryResult t =
           tf->Select(query, q, tau, kind, Options(w, *tf, twin, query));
-      if (((c.pool || cache != nullptr) && !(t.complete() && r.complete())) ||
+      if ((c.pool && !(t.complete() && r.complete())) ||
           (t.counters.elements_read == r.counters.elements_read &&
            t.counters.elements_skipped == r.counters.elements_skipped)) {
         return "";
@@ -867,7 +936,7 @@ class Oracle {
                " elements, iNRA " + std::to_string(inra.counters.elements_read);
       }
     }
-    if (cache != nullptr && r.complete()) {
+    if (cache != nullptr && r.complete() && !limited) {
       const uint64_t before = cache->hits();
       const QueryResult again = f->Select(query, q, tau, kind, options);
       if (cache->hits() != before + 1) {
@@ -877,6 +946,38 @@ class Oracle {
           again.counters.ToString() != r.counters.ToString() ||
           again.termination != r.termination) {
         return "a cache hit differs from the answer it cached";
+      }
+    }
+    if (f->patching != nullptr && !query.one_token && !limited) {
+      // Fill (or re-stamp) the entry, insert the query's own text, and ask
+      // again: a hit patched over the new record, equal to the uncached
+      // snapshot answer in ids, score bits and reads.
+      serve::DynamicServing& p = *f->patching;
+      const serve::ResultCache& pc = *p.result_cache();
+      p.Select(query.text, tau, kind, options);
+      p.AddRecord(query.text);
+      const uint64_t hits = pc.hits(), patches = pc.patches();
+      const QueryResult patched = p.Select(query.text, tau, kind, options);
+      if (pc.hits() != hits + 1 || pc.patches() != patches + 1) {
+        return "an insert between repeated queries did not patch the hit";
+      }
+      const QueryResult uncached =
+          p.selector().Select(query.text, tau, kind, options);
+      if (patched.snapshot_version != uncached.snapshot_version) {
+        return "a patched hit at version " +
+               std::to_string(patched.snapshot_version) + ", uncached at " +
+               std::to_string(uncached.snapshot_version);
+      }
+      const std::string diff =
+          MatchDifference(uncached.matches, patched.matches);
+      if (!diff.empty()) {
+        return "a patched hit differs from the uncached answer: " + diff;
+      }
+      if (patched.counters.elements_read != uncached.counters.elements_read ||
+          patched.counters.rows_scanned != uncached.counters.rows_scanned ||
+          patched.counters.results != uncached.counters.results) {
+        return "a patched hit's counters " + patched.counters.ToString() +
+               ", uncached " + uncached.counters.ToString();
       }
     }
     return "";

@@ -1,5 +1,5 @@
 // Serving-layer tests: sharded scatter-gather structure, cancellation and
-// tracing, result cache hit/invalidation/eviction semantics, and a
+// tracing, result cache hit/patch/invalidation/eviction semantics, and a
 // concurrency soak that runs under the TSAN `concurrency` ctest label.
 // Exactness over segment counts and storage is oracle_test's.
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@ namespace simsel {
 namespace {
 
 using serve::CachedResult;
+using serve::CacheStamp;
 using serve::ResultCache;
 using serve::ResultCacheOptions;
 using serve::ShardedSelector;
@@ -247,6 +248,11 @@ TEST(ResultCacheTest, KeySeparatesEveryAnswerAffectingInput) {
   q3.tfs = {1, 1, 1};
   EXPECT_NE(base, ResultCache::MakeKey(q3, 0.8, AlgorithmKind::kSf, options,
                                        false, "IDF"));
+  // The tier changes counters (and a delta part's screen), so it is keyed.
+  SelectOptions no_prefilter;
+  no_prefilter.prefilter = false;
+  EXPECT_NE(base, ResultCache::MakeKey(q, 0.8, AlgorithmKind::kSf,
+                                       no_prefilter, false, "IDF"));
 }
 
 TEST(ResultCacheTest, LruEvictionAndByteAccounting) {
@@ -259,8 +265,8 @@ TEST(ResultCacheTest, LruEvictionAndByteAccounting) {
 
   AccessCounters counters;
   counters.elements_read = 7;
-  cache.Insert(key_a, 1, matches, counters);
-  cache.Insert(key_b, 1, matches, counters);
+  cache.Insert(key_a, CacheStamp{1, 0}, matches, counters);
+  cache.Insert(key_b, CacheStamp{1, 0}, matches, counters);
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_EQ(cache.size_bytes(),
             2 * ResultCache::EntryBytes(key_a, matches.size()));
@@ -270,7 +276,7 @@ TEST(ResultCacheTest, LruEvictionAndByteAccounting) {
   ASSERT_TRUE(cache.Lookup(key_a, 1, &out));
   EXPECT_EQ(out.matches.size(), matches.size());
   EXPECT_EQ(out.counters.elements_read, 7u);
-  cache.Insert(key_c, 1, matches, counters);
+  cache.Insert(key_c, CacheStamp{1, 0}, matches, counters);
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_TRUE(cache.Lookup(key_a, 1, &out));
@@ -279,7 +285,7 @@ TEST(ResultCacheTest, LruEvictionAndByteAccounting) {
 
   // An entry larger than the whole budget is dropped, not force-fitted.
   std::vector<Match> huge(4096, Match{1, 0.5});
-  cache.Insert(key_b, 1, huge, counters);
+  cache.Insert(key_b, CacheStamp{1, 0}, huge, counters);
   EXPECT_FALSE(cache.Lookup(key_b, 1, &out));
 
   cache.Clear();
@@ -287,12 +293,12 @@ TEST(ResultCacheTest, LruEvictionAndByteAccounting) {
   EXPECT_EQ(cache.size_bytes(), 0u);
 }
 
-TEST(ResultCacheTest, StaleEpochInvalidatesOnLookup) {
+TEST(ResultCacheTest, StaleGenerationInvalidatesOnLookup) {
   ResultCacheOptions options;
   options.capacity_bytes = 1u << 16;
   ResultCache cache(options);
   std::vector<Match> matches = {{3, 0.7}};
-  cache.Insert("key", 1, matches, AccessCounters{});
+  cache.Insert("key", CacheStamp{1, 0}, matches, AccessCounters{});
   CachedResult out;
   ASSERT_TRUE(cache.Lookup("key", 1, &out));
   EXPECT_FALSE(cache.Lookup("key", 2, &out));  // stale: erased + counted
@@ -300,6 +306,67 @@ TEST(ResultCacheTest, StaleEpochInvalidatesOnLookup) {
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_FALSE(cache.Lookup("key", 2, &out));  // really gone
   EXPECT_EQ(cache.invalidations(), 1u);
+}
+
+TEST(ResultCacheTest, OlderCutOfTheGenerationHitsAndReportsItsCut) {
+  ResultCache cache(ResultCacheOptions{1u << 16, 1});
+  AccessCounters counters;
+  counters.elements_read = 11;
+  cache.Insert("key", CacheStamp{3, 5}, {{4, 0.9}}, counters);
+  CachedResult out;
+  // At its own cut: a plain hit.
+  ASSERT_TRUE(cache.Lookup("key", CacheStamp{3, 5}, &out));
+  EXPECT_EQ(out.cut, 5u);
+  EXPECT_EQ(cache.patches(), 0u);
+  // Four records later: still a hit, for the caller to patch from cut 5.
+  ASSERT_TRUE(cache.Lookup("key", CacheStamp{3, 9}, &out));
+  EXPECT_EQ(out.cut, 5u);
+  ASSERT_EQ(out.matches.size(), 1u);
+  EXPECT_EQ(out.counters.elements_read, 11u);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.patches(), 1u);
+  // The patched answer is re-stamped in place at cut 9.
+  counters.elements_read = 13;
+  cache.Insert("key", CacheStamp{3, 9}, {{4, 0.9}, {120, 0.8}}, counters);
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.size_bytes(), ResultCache::EntryBytes("key", 2));
+  ASSERT_TRUE(cache.Lookup("key", CacheStamp{3, 9}, &out));
+  EXPECT_EQ(out.cut, 9u);
+  EXPECT_EQ(out.matches.size(), 2u);
+  EXPECT_EQ(out.counters.elements_read, 13u);
+}
+
+TEST(ResultCacheTest, NewerStampMissesWithoutErase) {
+  ResultCache cache(ResultCacheOptions{1u << 16, 1});
+  cache.Insert("key", CacheStamp{3, 9}, {{4, 0.9}}, AccessCounters{});
+  CachedResult out;
+  // A reader pinned at an older cut of the generation, or at an older
+  // generation, cannot use the entry but must not destroy it.
+  EXPECT_FALSE(cache.Lookup("key", CacheStamp{3, 5}, &out));
+  EXPECT_FALSE(cache.Lookup("key", CacheStamp{2, 40}, &out));
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.invalidations(), 0u);
+  // Nor may its answer replace the newer one.
+  cache.Insert("key", CacheStamp{3, 5}, {}, AccessCounters{});
+  cache.Insert("key", CacheStamp{2, 40}, {}, AccessCounters{});
+  ASSERT_TRUE(cache.Lookup("key", CacheStamp{3, 9}, &out));
+  EXPECT_EQ(out.cut, 9u);
+  EXPECT_EQ(out.matches.size(), 1u);
+  EXPECT_EQ(cache.insertions(), 1u);
+}
+
+TEST(ResultCacheTest, OldGenerationNeverHitsAtAnOverlappingVersion) {
+  // A rebuild folds the first F = 3 delta records while L = 8 exist by the
+  // swap; the 5 appended mid-build are carried into the new delta. The old
+  // generation (base version 0) stamped cut 7 at version 0 + 7 = 7. The new
+  // generation's base version is 0 + F + 1 = 4, so its cut 3 is version 7
+  // too. The stamps must stay apart: the entry scored the old statistics.
+  ResultCache cache(ResultCacheOptions{1u << 16, 1});
+  cache.Insert("key", CacheStamp{0, 7}, {{2, 0.9}}, AccessCounters{});
+  CachedResult out;
+  EXPECT_FALSE(cache.Lookup("key", CacheStamp{1, 3}, &out));
+  EXPECT_EQ(cache.invalidations(), 1u);
+  EXPECT_EQ(cache.entries(), 0u);
 }
 
 TEST(ResultCacheTest, ResidentBytesGaugeReconcilesUnderConcurrentChurn) {
@@ -327,7 +394,7 @@ TEST(ResultCacheTest, ResidentBytesGaugeReconcilesUnderConcurrentChurn) {
           key += std::to_string(t);
           key += '-';
           key += std::to_string(i % 64);
-          cache.Insert(key, 1, matches, counters);
+          cache.Insert(key, CacheStamp{1, 0}, matches, counters);
           CachedResult out;
           cache.Lookup(key, 1, &out);
           if (i % 16 == 15) cache.Lookup(key, 2, &out);  // invalidate path
