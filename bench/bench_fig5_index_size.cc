@@ -104,8 +104,6 @@ int Main(int argc, char** argv) {
               opts.num_words);
   BenchEnv env = MakeBenchEnv(opts);
   IndexSizeReport sizes = env.selector->Sizes();
-  const IndexFileStats v3_blocks =
-      env.selector->index().EncodedStats(InvertedIndex::kVersionBlocks);
 
   bench::PrintTable(
       "Figure 5: index components (MB)",
@@ -114,19 +112,18 @@ int Main(int argc, char** argv) {
           {"Base table", bench::FmtMb(sizes.base_table)},
           {"Q-gram table", bench::FmtMb(sizes.gram_table)},
           {"B-tree (clustered)", bench::FmtMb(sizes.btree)},
-          {"Inverted lists (both orders)", bench::FmtMb(sizes.inverted_lists)},
+          {"Inverted lists (one order)", bench::FmtMb(sizes.inverted_lists)},
           {"Skip lists (block summaries)", bench::FmtMb(sizes.skip_lists)},
           {"Extendible hashing", bench::FmtMb(sizes.extendible_hash)},
-          {"By-id gap varints (v3 image payload)",
-           bench::FmtMb(v3_blocks.id_payload_bytes)},
       });
 
   // Per-algorithm stacks as in the figure's x-axis.
   size_t sql = sizes.base_table + sizes.gram_table + sizes.btree;
   size_t ta = sizes.base_table + sizes.inverted_lists + sizes.skip_lists +
               sizes.extendible_hash;  // TA/iTA need random access
-  size_t nra = sizes.base_table + sizes.inverted_lists + sizes.skip_lists;
-  size_t sf = sizes.base_table + sizes.inverted_lists / 2 + sizes.skip_lists;
+  // sort-by-id merges the (len, id)-sorted lists, so every list-merging
+  // approach shares one list order.
+  size_t lists = sizes.base_table + sizes.inverted_lists + sizes.skip_lists;
   bench::PrintTable(
       "Figure 5: index size per approach (MB)",
       {"Approach", "MB", "vs base table"},
@@ -135,10 +132,9 @@ int Main(int argc, char** argv) {
            bench::Fmt(sql / static_cast<double>(sizes.base_table), "%.1fx")},
           {"TA / iTA", bench::FmtMb(ta),
            bench::Fmt(ta / static_cast<double>(sizes.base_table), "%.1fx")},
-          {"sort-by-id + NRA / iNRA", bench::FmtMb(nra),
-           bench::Fmt(nra / static_cast<double>(sizes.base_table), "%.1fx")},
-          {"SF / Hybrid (one list order)", bench::FmtMb(sf),
-           bench::Fmt(sf / static_cast<double>(sizes.base_table), "%.1fx")},
+          {"sort-by-id / NRA / iNRA / SF / Hybrid", bench::FmtMb(lists),
+           bench::Fmt(lists / static_cast<double>(sizes.base_table),
+                      "%.1fx")},
       });
   PrintCompressionByDecile(env.selector->index());
   IndexFileStats v2 =

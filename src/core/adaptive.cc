@@ -29,7 +29,7 @@ PlanDecision ChooseAlgorithm(const InvertedIndex& index,
   bool window_useless =
       decision.total_postings > 0 &&
       decision.window_postings * 10 >= decision.total_postings * 9;
-  if (tau < 0.35 && window_useless && index.options().build_id_lists) {
+  if (tau < 0.35 && window_useless) {
     decision.kind = AlgorithmKind::kSortById;
     decision.reason = "low threshold, window covers the lists";
     return decision;

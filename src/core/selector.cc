@@ -258,14 +258,11 @@ Result<SimilaritySelector> SimilaritySelector::BuildWithSavedIndex(
   bool postings_match = true;
   const size_t num_sets = sel.collection_->size();
   for (TokenId t = 0; t < index.num_tokens(); ++t) {
-    const std::pair<const uint32_t*, const float*> lists[] = {
-        {index.LenIds(t), index.LenLens(t)}, {index.IdIds(t), index.IdLens(t)}};
-    for (const auto& [ids, lens] : lists) {
-      if (ids == nullptr) continue;
-      for (size_t i = 0; i < index.ListSize(t); ++i) {
-        postings_match &= ids[i] < num_sets &&
-                          lens[i] == sel.measure_->set_length(ids[i]);
-      }
+    const uint32_t* ids = index.LenIds(t);
+    const float* lens = index.LenLens(t);
+    for (size_t i = 0; i < index.ListSize(t); ++i) {
+      postings_match &= ids[i] < num_sets &&
+                        lens[i] == sel.measure_->set_length(ids[i]);
     }
   }
   // Validate() last: it checks the list orders and hashes the kernels rely

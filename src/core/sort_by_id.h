@@ -8,28 +8,29 @@
 namespace simsel {
 
 /// The sort-by-id baseline (Section III-B, Figure 2): a merge of the query
-/// tokens' id-sorted inverted lists. Every list is read completely — the
+/// tokens' inverted lists by set id. Every list is read completely — the
 /// algorithm performs no pruning, so its cost is flat in the threshold — but
-/// sets sharing no token with the query are never touched. Requires the
-/// index to have been built with `build_id_lists`. Only `options.control` is
-/// honored (the merge has no use for the pruning toggles).
+/// sets sharing no token with the query are never touched. Only
+/// `options.control` and `options.buffer_pool` are honored; the merge has no
+/// use for the pruning toggles.
 ///
-/// The merge is a windowed counting merge. The id space is walked in
-/// windows of 4096 ids, jumping straight to the window of the smallest
-/// unread list head. Inside a window the lists are walked in ascending
-/// query index, adding q.weights[i] into a per-thread, directly addressed
-/// accumulator slot per id — the same additions in the same order as
-/// IdfMeasure::ScoreFromBits, so scores are bit-identical. At the window's
-/// end the touched slots are emitted in id order.
+/// The lists are the (len, id)-sorted ones every other kernel reads: with no
+/// pruning, list order changes neither the answer nor the cost. Each list is
+/// drained through a ListCursor span by span, in ascending query index, and
+/// each posting adds q.weights[i] into a per-thread accumulator slot for its
+/// id — in ascending query index, the additions of
+/// IdfMeasure::ScoreFromBits, so scores are bit-identical. The touched ids
+/// are then scored in id order through IdfMeasure::ScoreFromSum with
+/// IdfMeasure::set_length.
 ///
-/// Accounting: every posting is read once, in id order, and each list is
-/// charged ⌈size/P⌉ sequential pages (P postings per page). Without an
-/// active control the charges are hoisted; with one they are made per
-/// consumed position range [b, e) of a list as ⌈e/P⌉ − ⌈b/P⌉ (which
-/// telescopes to the same total), the control is polled once per window and
-/// after every non-empty list segment, and a tripped window's partial sums
-/// are dropped (finished windows are exact, so the result is a sound
-/// subset). Unread tails count as elements_skipped.
+/// Accounting is the cursors': every posting is read once and each list is
+/// charged ⌈size/P⌉ sequential pages (P postings per page), with a buffer
+/// pool touch per page. The postings come from the index's arrays even when
+/// `options.posting_store` is set: decoding the store would cost more than
+/// twice the merge. The control is polled once per span. A tripped query
+/// stops reading and reports no matches (its sums are incomplete; the empty
+/// answer is the sound subset), and unread postings count as
+/// elements_skipped.
 QueryResult SortByIdSelect(const InvertedIndex& index,
                            const IdfMeasure& measure, const PreparedQuery& q,
                            double tau, const SelectOptions& options = {});

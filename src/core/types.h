@@ -192,7 +192,7 @@ struct SelectOptions {
 enum class AlgorithmKind {
   kLinearScan,  ///< no index; exact scores for every set (testing baseline)
   kSql,         ///< relational plan on the q-gram table's clustered B-tree
-  kSortById,    ///< multiway merge of id-sorted lists (no pruning)
+  kSortById,    ///< merge of the query lists by id (no pruning)
   kTa,          ///< classic Threshold Algorithm (random access via hashes)
   kNra,         ///< classic No-Random-Access algorithm
   kIta,         ///< TA + semantic properties (Section V remark)

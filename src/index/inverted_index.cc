@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <numeric>
+#include <tuple>
 #include <thread>
 #include <utility>
 
@@ -73,50 +73,40 @@ InvertedIndex InvertedIndex::BuildRangeWithLengths(
   }
   const uint64_t total = index.offsets_[num_tokens];
 
-  // Pass 2: fill by-id lists (iterating sets in id order yields id order).
-  index.id_ids_.resize(total);
-  index.id_lens_.resize(total);
+  // Pass 2: fill the lists in id order (iterating sets in id order).
+  index.len_ids_.resize(total);
+  index.len_lens_.resize(total);
   std::vector<uint64_t> cursor(index.offsets_.begin(),
                                index.offsets_.end() - 1);
   for (SetId s = range_begin; s < range_end; ++s) {
     float len = set_lengths[s];
     for (TokenId t : collection.set(s).tokens) {
       uint64_t pos = cursor[t]++;
-      index.id_ids_[pos] = s;
-      index.id_lens_[pos] = len;
+      index.len_ids_[pos] = s;
+      index.len_lens_[pos] = len;
     }
   }
 
-  // Pass 3: by-length lists = per-token stable sort of the by-id lists by
-  // (len, id). Ids ascend within equal lengths because the sort is stable
-  // over an id-ascending input. Tokens are independent, so the pass (and
-  // every derived structure below) parallelizes per token.
-  index.len_ids_.resize(total);
-  index.len_lens_.resize(total);
+  // Pass 3: a per-token stable sort by len, in place. Ids ascend within
+  // equal lengths because the sort is stable over an id-ascending input.
+  // Tokens are independent, so the pass (and every derived structure below)
+  // parallelizes per token.
   std::unique_ptr<ThreadPool> pool = MakeBuildPool(options, total);
   ParallelFor(pool.get(), num_tokens, [&index](size_t t) {
-    thread_local std::vector<uint32_t> order;
+    thread_local std::vector<std::pair<float, uint32_t>> list;
     const uint64_t begin = index.offsets_[t];
     const size_t n = index.ListSize(static_cast<TokenId>(t));
-    order.resize(n);
-    std::iota(order.begin(), order.end(), 0);
-    const float* lens = index.id_lens_.data() + begin;
-    std::stable_sort(order.begin(), order.end(),
-                     [lens](uint32_t a, uint32_t b) {
-                       return lens[a] < lens[b];
+    uint32_t* ids = index.len_ids_.data() + begin;
+    float* lens = index.len_lens_.data() + begin;
+    list.resize(n);
+    for (size_t i = 0; i < n; ++i) list[i] = {lens[i], ids[i]};
+    std::stable_sort(list.begin(), list.end(),
+                     [](const std::pair<float, uint32_t>& a,
+                        const std::pair<float, uint32_t>& b) {
+                       return a.first < b.first;
                      });
-    for (size_t i = 0; i < n; ++i) {
-      index.len_ids_[begin + i] = index.id_ids_[begin + order[i]];
-      index.len_lens_[begin + i] = index.id_lens_[begin + order[i]];
-    }
+    for (size_t i = 0; i < n; ++i) std::tie(lens[i], ids[i]) = list[i];
   });
-
-  if (!options.build_id_lists) {
-    index.id_ids_.clear();
-    index.id_ids_.shrink_to_fit();
-    index.id_lens_.clear();
-    index.id_lens_.shrink_to_fit();
-  }
 
   // Pass 4: per-set MinHash signatures for the sketch prefilter tier. Sets
   // are independent, so the pass reuses the build pool; the fixed seed makes
@@ -240,8 +230,7 @@ PostingRange InvertedIndex::WindowSpan(TokenId t, float lo_len, float hi_len,
 }
 
 size_t InvertedIndex::ListBytesTotal() const {
-  size_t orders = id_ids_.empty() ? 1 : 2;
-  return orders * ListBytesOneOrder() + offsets_.size() * sizeof(uint64_t);
+  return len_ids_.size() * 8 + offsets_.size() * sizeof(uint64_t);
 }
 
 size_t InvertedIndex::HashBytes() const {
@@ -264,16 +253,6 @@ bool InvertedIndex::Validate() const {
         std::fprintf(stderr, "InvertedIndex: by-length order violated "
                              "(token %u pos %zu)\n", t, i);
         return false;
-      }
-    }
-    if (!id_ids_.empty()) {
-      const uint32_t* iids = IdIds(t);
-      for (size_t i = 1; i < n; ++i) {
-        if (iids[i - 1] >= iids[i]) {
-          std::fprintf(stderr, "InvertedIndex: by-id order violated "
-                               "(token %u pos %zu)\n", t, i);
-          return false;
-        }
       }
     }
     const ExtendibleHash* h = hash(t);
@@ -332,6 +311,10 @@ constexpr uint32_t kMagic = 0x53494E56;  // "SINV"
 // ignored on Load.
 constexpr uint64_t kRetiredSkipFanout = 64;
 constexpr uint8_t kRetiredBuildSkip = 1;
+// Header slot of the retired by-id list order's build flag: written as 0
+// and ignored on Load. Images that still carry the by-id section flag it
+// after the lists, and Load skips it.
+constexpr uint8_t kRetiredBuildIdLists = 0;
 }  // namespace
 
 void InvertedIndex::EncodeTo(std::vector<uint8_t>* bufp, uint32_t version,
@@ -347,13 +330,13 @@ void InvertedIndex::EncodeTo(std::vector<uint8_t>* bufp, uint32_t version,
   PutFixed64(&buf, kRetiredSkipFanout);
   PutFixed64(&buf, options_.hash_page_bytes);
   PutFixed64(&buf, options_.block_postings);
-  buf.push_back(options_.build_id_lists ? 1 : 0);
+  buf.push_back(kRetiredBuildIdLists);
   buf.push_back(kRetiredBuildSkip);
   buf.push_back(options_.build_hash ? 1 : 0);
   PutFixed64(&buf, offsets_.size());
   for (uint64_t o : offsets_) PutVarint64(&buf, o);
 
-  // By-length lists.
+  // The lists.
   const size_t len_payload_begin = buf.size();
   if (version == kVersionLegacy) {
     // v2: plain varint ids, then fixed32 length bit patterns.
@@ -375,29 +358,8 @@ void InvertedIndex::EncodeTo(std::vector<uint8_t>* bufp, uint32_t version,
   }
   const size_t len_payload = buf.size() - len_payload_begin;
 
-  // By-id lists.
-  buf.push_back(id_ids_.empty() ? 0 : 1);
-  const size_t id_payload_begin = buf.size();
-  if (!id_ids_.empty()) {
-    if (version == kVersionLegacy) {
-      for (uint32_t id : id_ids_) PutVarint32(&buf, id);
-      for (float len : id_lens_) PutFloat(&buf, len);
-    } else {
-      // v3: classic gap varints (ids strictly ascend per list); lengths are
-      // a function of the set id and are reconstructed at Load from the
-      // by-length lists, so they are not serialized at all.
-      for (size_t t = 0; t < num_tokens; ++t) {
-        const size_t n = ListSize(static_cast<TokenId>(t));
-        const uint32_t* ids = IdIds(static_cast<TokenId>(t));
-        uint32_t prev = 0;
-        for (size_t i = 0; i < n; ++i) {
-          PutVarint32(&buf, i == 0 ? ids[i] : ids[i] - prev);
-          prev = ids[i];
-        }
-      }
-    }
-  }
-  const size_t id_payload = buf.size() - id_payload_begin;
+  // No by-id section (the retired second list order).
+  buf.push_back(0);
 
   // v4: trailing MinHash sketch section (params + raw signature words).
   size_t sketch_payload = 0;
@@ -422,7 +384,6 @@ void InvertedIndex::EncodeTo(std::vector<uint8_t>* bufp, uint32_t version,
     // PagedFile wraps the payload in a 16-byte header + 8-byte checksum.
     stats->file_bytes = buf.size() + 24;
     stats->len_payload_bytes = len_payload;
-    stats->id_payload_bytes = id_payload;
     stats->sketch_payload_bytes = sketch_payload;
   }
 }
@@ -471,8 +432,7 @@ Result<InvertedIndex> InvertedIndex::Load(const std::string& path) {
   index.options_.page_bytes = page_bytes;
   index.options_.hash_page_bytes = hash_page_bytes;
   index.options_.block_postings = block_postings;
-  index.options_.build_id_lists = dec.data[dec.pos++] != 0;
-  ++dec.pos;  // retired build_skip flag
+  dec.pos += 2;  // the retired by-id and skip build flags
   index.options_.build_hash = dec.data[dec.pos++] != 0;
   // Every count below comes off the file, so each is bounded by the bytes
   // left before it sizes anything: an offset is at least one varint byte
@@ -530,56 +490,21 @@ Result<InvertedIndex> InvertedIndex::Load(const std::string& path) {
     }
   }
   if (dec.exhausted()) return Status::Corruption("missing id lists flag");
-  const bool has_id_lists = dec.data[dec.pos++] != 0;
-  // Save writes the lists exactly when the options ask for them and there
-  // is a posting; sort-by-id trusts the options.
-  if (has_id_lists != (index.options_.build_id_lists && total > 0)) {
-    return Status::Corruption("id list flag disagrees with options in: " +
-                              path);
-  }
-  if (has_id_lists) {
-    index.id_ids_.resize(total);
-    index.id_lens_.resize(total);
+  if (dec.data[dec.pos++] != 0) {
+    // A by-id copy of the lists (the retired second order): ids as varints
+    // (gaps from v3 on), then fixed32 lengths in v2. Every skipped varint
+    // consumes a byte, so the loop is bounded by the bytes left.
+    for (uint64_t i = 0; i < total; ++i) {
+      uint32_t unused;
+      if (!GetVarint32(&dec, &unused)) {
+        return Status::Corruption("truncated id postings in: " + path);
+      }
+    }
     if (version == kVersionLegacy) {
-      for (uint64_t i = 0; i < total; ++i) {
-        if (!GetVarint32(&dec, &index.id_ids_[i])) {
-          return Status::Corruption("truncated id postings in: " + path);
-        }
+      if (total * 4 > dec.remaining()) {
+        return Status::Corruption("truncated id lengths in: " + path);
       }
-      for (uint64_t i = 0; i < total; ++i) {
-        if (!GetFloat(&dec, &index.id_lens_[i])) {
-          return Status::Corruption("truncated id lengths in: " + path);
-        }
-      }
-    } else {
-      // v3 stores gaps only. A by-id list holds its token's by-length
-      // postings in id order, so the lengths come from there, and an id
-      // the by-length list lacks is corruption.
-      std::vector<std::pair<uint32_t, float>> by_id;
-      for (size_t t = 0; t < num_tokens; ++t) {
-        const uint64_t begin = index.offsets_[t];
-        const uint64_t n = index.offsets_[t + 1] - begin;
-        by_id.clear();
-        for (uint64_t i = 0; i < n; ++i) {
-          by_id.emplace_back(index.len_ids_[begin + i],
-                             index.len_lens_[begin + i]);
-        }
-        std::sort(by_id.begin(), by_id.end());
-        uint32_t prev = 0;
-        for (uint64_t i = 0; i < n; ++i) {
-          uint32_t gap;
-          if (!GetVarint32(&dec, &gap)) {
-            return Status::Corruption("truncated id postings in: " + path);
-          }
-          const uint32_t id = i == 0 ? gap : prev + gap;
-          if (id != by_id[i].first) {
-            return Status::Corruption("id posting out of range in: " + path);
-          }
-          prev = id;
-          index.id_ids_[begin + i] = id;
-          index.id_lens_[begin + i] = by_id[i].second;
-        }
-      }
+      dec.pos += total * 4;
     }
   }
   // v4: trailing MinHash sketch section.
@@ -608,6 +533,9 @@ Result<InvertedIndex> InvertedIndex::Load(const std::string& path) {
       }
       index.options_.build_sketches = true;
     }
+  }
+  if (!dec.exhausted()) {
+    return Status::Corruption("trailing bytes in: " + path);
   }
   index.BuildDerived();
   return index;

@@ -34,8 +34,6 @@ struct InvertedIndexOptions {
   /// spawning workers (see MakeBuildPool). The result is identical either
   /// way (every pass is deterministic per token, set or band).
   size_t build_threads = 0;
-  /// Build the by-id sorted lists (needed by the sort-by-id baseline).
-  bool build_id_lists = true;
   /// Build per-list extendible hashes (needed by TA/iTA random access).
   bool build_hash = true;
   /// Build per-set MinHash signatures for the sketch prefilter tier
@@ -94,19 +92,16 @@ struct IndexFileStats {
   uint64_t file_bytes = 0;
   /// By-length posting payload (ids + lengths, excluding headers/offsets).
   uint64_t len_payload_bytes = 0;
-  /// By-id posting payload (0 when id lists are not built).
-  uint64_t id_payload_bytes = 0;
   /// MinHash signature payload (version >= 4 with sketches built; else 0).
   uint64_t sketch_payload_bytes = 0;
 };
 
 /// The paper's specialized index (Section III-B): one inverted list per
-/// token. Two sort orders are materialized:
-///
-///  - by increasing (len(s), id): since len(q) and idf(q^i) are constant per
-///    list, this is exactly decreasing per-list contribution w_i order — the
-///    order the TA/NRA-family algorithms consume (Figure 3);
-///  - by increasing id: consumed by the multiway sort-by-id merge (Figure 2).
+/// token, sorted by increasing (len(s), id). Since len(q) and idf(q^i) are
+/// constant per list, this is exactly decreasing per-list contribution w_i
+/// order — the order the TA/NRA-family algorithms consume (Figure 3). The
+/// sort-by-id merge (Figure 2) reads every posting, so it accumulates these
+/// lists by id instead of keeping a second, id-sorted copy.
 ///
 /// Each by-length list carries block summaries (the skip structure: a seek
 /// to the Length Boundedness window binary-searches them) and optionally an
@@ -154,14 +149,6 @@ class InvertedIndex {
   const uint32_t* LenIds(TokenId t) const { return len_ids_.data() + offsets_[t]; }
   const float* LenLens(TokenId t) const { return len_lens_.data() + offsets_[t]; }
 
-  /// By-id list of token `t`; null data if build_id_lists was false.
-  const uint32_t* IdIds(TokenId t) const {
-    return id_ids_.empty() ? nullptr : id_ids_.data() + offsets_[t];
-  }
-  const float* IdLens(TokenId t) const {
-    return id_lens_.empty() ? nullptr : id_lens_.data() + offsets_[t];
-  }
-
   /// Block-summary layer over the by-length lists (always built).
   size_t block_postings() const { return options_.block_postings; }
   size_t NumBlocks(TokenId t) const {
@@ -190,10 +177,9 @@ class InvertedIndex {
     return hashes_.empty() ? nullptr : hashes_[t].get();
   }
 
-  /// Figure 5 size accounting (bytes): the lists themselves (one sort order),
-  /// both sort orders, skip lists, and extendible hashes. The block
+  /// Figure 5 size accounting (bytes): the lists (8 bytes per posting) with
+  /// their offset table, skip lists, and extendible hashes. The block
   /// summaries do the skip lists' job, so SkipBytes() reports them.
-  size_t ListBytesOneOrder() const { return len_ids_.size() * 8; }
   size_t ListBytesTotal() const;
   size_t SkipBytes() const { return BlockSummaryBytes(); }
   size_t HashBytes() const;
@@ -216,12 +202,12 @@ class InvertedIndex {
   size_t SketchBytes() const { return sketch_sigs_.size() * sizeof(uint64_t); }
 
   /// Serialized format versions Save accepts (Load reads all):
-  ///  - 2: plain varint ids + fixed32 lengths, both sort orders in full;
-  ///  - 3: by-length lists as compressed posting blocks (storage/
-  ///    block_codec.h) aligned to the summary blocks, by-id lists as gap
-  ///    varints with the lengths reconstructed from a set-id table;
+  ///  - 2: plain varint ids + fixed32 lengths;
+  ///  - 3: lists as compressed posting blocks (storage/block_codec.h)
+  ///    aligned to the summary blocks;
   ///  - 4: version 3 plus a trailing MinHash sketch section (params +
   ///    per-set signatures; see docs/FORMATS.md).
+  /// Older images may also carry a by-id copy of the lists; Load skips it.
   static constexpr uint32_t kVersionLegacy = 2;
   static constexpr uint32_t kVersionBlocks = 3;
   static constexpr uint32_t kVersionLatest = 4;
@@ -238,9 +224,8 @@ class InvertedIndex {
   /// Byte accounting of the serialized form without writing a file.
   IndexFileStats EncodedStats(uint32_t version = kVersionLatest) const;
 
-  /// Structural invariant check (for tests and post-Load paranoia):
-  /// by-length lists sorted by (len, id), by-id lists strictly id-sorted,
-  /// equal per-token sizes across orders, hash entries matching postings.
+  /// Structural invariant check (for tests and post-Load paranoia): lists
+  /// sorted by (len, id), block summaries and hash entries matching them.
   /// Returns false and logs the first violation to stderr.
   bool Validate() const;
 
@@ -257,8 +242,6 @@ class InvertedIndex {
   std::vector<uint64_t> offsets_;  // size num_tokens + 1
   std::vector<uint32_t> len_ids_;  // by (len asc, id asc)
   std::vector<float> len_lens_;
-  std::vector<uint32_t> id_ids_;   // by id asc
-  std::vector<float> id_lens_;
   std::vector<std::unique_ptr<ExtendibleHash>> hashes_;
   std::vector<PostingBlockSummary> blocks_;  // concatenated per token
   std::vector<uint64_t> block_offsets_;      // size num_tokens + 1

@@ -274,7 +274,7 @@ PostingSpan ListCursor::NextSpan(size_t max_count, float max_len) {
   // Clip to the enclosing summary block so a span never straddles blocks.
   const size_t bp = index_->block_postings();
   size_t end = std::min(size_, (start / bp + 1) * bp);
-  end = std::min(end, start + max_count);
+  if (max_count < end - start) end = start + max_count;
   if (max_len != kNoLengthBound) {
     const PostingBlockSummary& h = index_->Blocks(token_)[start / bp];
     if (h.max_len > max_len) {

@@ -37,9 +37,8 @@ const PostingStore& Store() {
   return *store;
 }
 
-// The disk-capable algorithm mix the soak rotates through (sort-by-id reads
-// the by-id arrays and ignores the store; it rides along as the merge-path
-// representative).
+// The disk-capable algorithm mix the soak rotates through (sort-by-id is the
+// merge-path representative).
 const AlgorithmKind kSoakKinds[] = {AlgorithmKind::kSf, AlgorithmKind::kInra,
                                     AlgorithmKind::kHybrid,
                                     AlgorithmKind::kIta,

@@ -153,6 +153,12 @@ TEST(FaultInjectionQueryTest, FailureSurfacesAsStatusWithMatchesCleared) {
     EXPECT_TRUE(failed.matches.empty()) << context;
     EXPECT_EQ(failed.counters.results, 0u) << context;
     EXPECT_FALSE(failed.complete()) << context;
+    // Every posting of the opened lists is read or skipped, fault or not.
+    EXPECT_EQ(failed.counters.elements_total, healthy.counters.elements_total)
+        << context;
+    EXPECT_EQ(failed.counters.elements_read + failed.counters.elements_skipped,
+              failed.counters.elements_total)
+        << context;
 
     // The store healed (injector reset): the same query is exact again.
     QueryResult recovered = sel.Select(query, 0.6, kind, disk);

@@ -3,10 +3,12 @@
 // the sketch section) must load into indexes with bit-identical lists,
 // while the posting side of the latest file is materially smaller. That
 // every algorithm answers identically over every image version is
-// oracle_test's image axis.
+// oracle_test's image axis. Committed images that still carry the retired
+// by-id section must load and answer like a fresh build.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -86,8 +88,6 @@ TEST(IndexVersionTest, LoadedListsAreBitIdentical) {
       // Exact bit equality, not approximate: the compressed codec is
       // lossless by contract.
       ASSERT_EQ(a.LenLens(t)[i], b.LenLens(t)[i]) << "t=" << t << " i=" << i;
-      ASSERT_EQ(a.IdIds(t)[i], b.IdIds(t)[i]) << "t=" << t << " i=" << i;
-      ASSERT_EQ(a.IdLens(t)[i], b.IdLens(t)[i]) << "t=" << t << " i=" << i;
     }
   }
 }
@@ -136,6 +136,63 @@ TEST(IndexVersionTest, LatestImageIsIndependentOfBuildThreads) {
   EXPECT_TRUE(images[0] == images[1])
       << "v4 images differ between build_threads 1 and 4 ("
       << images[0].size() << " vs " << images[1].size() << " bytes)";
+}
+
+// Images saved by the last build that kept a second, id-sorted list order
+// (tests/data/README.md). Load skips their by-id section; the lists, and
+// every algorithm's ids and score bits, must equal a fresh build's.
+TEST(IndexVersionTest, TwoOrderImagesLoadAndAnswerLikeAFreshBuild) {
+  Result<Corpus> corpus =
+      LoadCorpusFromFile(SIMSEL_TEST_DATA_DIR "/two_orders_records.txt");
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  const std::vector<std::string>& records = corpus->records;
+  for (uint32_t version : {2u, 3u, 4u}) {
+    const std::string name = "two_orders_v" + std::to_string(version);
+    // The images were built with simsel_cli's defaults; v4 with
+    // --sketch-k=16, which sets bands to k / rows.
+    BuildOptions build;
+    build.build_sql_baseline = true;
+    if (version == 4) {
+      build.index.build_sketches = true;
+      build.index.sketch.k = 16;
+      build.index.sketch.bands = 16 / build.index.sketch.rows;
+    }
+    const SimilaritySelector fresh = SimilaritySelector::Build(records, build);
+    Result<SimilaritySelector> loaded = SimilaritySelector::BuildWithSavedIndex(
+        records, SIMSEL_TEST_DATA_DIR "/" + name + ".simsel", build);
+    ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.status().ToString();
+    const InvertedIndex& a = fresh.index();
+    const InvertedIndex& b = loaded->index();
+    ASSERT_EQ(a.num_tokens(), b.num_tokens()) << name;
+    ASSERT_EQ(a.total_postings(), b.total_postings()) << name;
+    EXPECT_EQ(b.has_sketches(), version == 4) << name;
+    for (TokenId t = 0; t < a.num_tokens(); ++t) {
+      ASSERT_EQ(a.ListSize(t), b.ListSize(t)) << name << " t=" << t;
+      for (size_t i = 0; i < a.ListSize(t); ++i) {
+        ASSERT_EQ(a.LenIds(t)[i], b.LenIds(t)[i]) << name << " t=" << t;
+        ASSERT_EQ(std::bit_cast<uint32_t>(a.LenLens(t)[i]),
+                  std::bit_cast<uint32_t>(b.LenLens(t)[i]))
+            << name << " t=" << t;
+      }
+    }
+    for (AlgorithmKind kind :
+         {AlgorithmKind::kLinearScan, AlgorithmKind::kSql,
+          AlgorithmKind::kSortById, AlgorithmKind::kTa, AlgorithmKind::kNra,
+          AlgorithmKind::kIta, AlgorithmKind::kInra, AlgorithmKind::kSf,
+          AlgorithmKind::kHybrid, AlgorithmKind::kPrefixFilter}) {
+      for (size_t s = 0; s < records.size(); s += 7) {
+        for (double tau : {0.4, 0.8}) {
+          const std::string context = name + " " + AlgorithmKindName(kind) +
+                                      " record " + std::to_string(s) +
+                                      " tau " + std::to_string(tau);
+          const QueryResult want = fresh.Select(records[s], tau, kind);
+          const QueryResult got = loaded->Select(records[s], tau, kind);
+          ASSERT_TRUE(want.complete() && got.complete()) << context;
+          testing_util::ExpectSameMatches(want.matches, got.matches, context);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -62,18 +62,6 @@ TEST(InvertedIndexTest, ByLengthListsSortedLenThenId) {
   }
 }
 
-TEST(InvertedIndexTest, ByIdListsSortedById) {
-  Fixture f;
-  for (TokenId t = 0; t < f.index.num_tokens(); ++t) {
-    size_t n = f.index.ListSize(t);
-    const uint32_t* ids = f.index.IdIds(t);
-    ASSERT_NE(ids, nullptr);
-    for (size_t i = 1; i < n; ++i) {
-      ASSERT_LT(ids[i - 1], ids[i]);
-    }
-  }
-}
-
 TEST(InvertedIndexTest, ListSizesMatchDf) {
   Fixture f;
   for (TokenId t = 0; t < f.index.num_tokens(); ++t) {
@@ -104,29 +92,28 @@ TEST(InvertedIndexTest, HashIndexAgreesWithLists) {
 
 TEST(InvertedIndexTest, OptionalStructuresCanBeDisabled) {
   InvertedIndexOptions opts;
-  opts.build_id_lists = false;
   opts.build_hash = false;
   Fixture f(100, opts);
-  EXPECT_EQ(f.index.IdIds(0), nullptr);
   EXPECT_EQ(f.index.hash(0), nullptr);
   EXPECT_EQ(f.index.HashBytes(), 0u);
 }
 
 TEST(InvertedIndexTest, SizeAccounting) {
   Fixture f;
-  EXPECT_EQ(f.index.ListBytesOneOrder(), f.index.total_postings() * 8);
-  EXPECT_GT(f.index.ListBytesTotal(), 2 * f.index.ListBytesOneOrder());
+  // One list order: 8 bytes per posting plus the offset table.
+  EXPECT_EQ(f.index.ListBytesTotal(),
+            f.index.total_postings() * 8 +
+                (f.index.num_tokens() + 1) * sizeof(uint64_t));
   EXPECT_GT(f.index.HashBytes(), 0u);
   // Skip lists (the block summaries) are tiny relative to the lists.
   EXPECT_EQ(f.index.SkipBytes(), f.index.BlockSummaryBytes());
-  EXPECT_LT(f.index.SkipBytes(), f.index.ListBytesOneOrder());
+  EXPECT_LT(f.index.SkipBytes(), f.index.total_postings() * 8);
 }
 
 TEST(InvertedIndexTest, ValidatePasses) {
   Fixture f;
   EXPECT_TRUE(f.index.Validate());
   InvertedIndexOptions bare;
-  bare.build_id_lists = false;
   bare.build_hash = false;
   Fixture minimal(150, bare);
   EXPECT_TRUE(minimal.index.Validate());
@@ -146,7 +133,6 @@ TEST(InvertedIndexTest, SaveLoadRoundtrip) {
     for (size_t i = 0; i < f.index.ListSize(t); ++i) {
       ASSERT_EQ(loaded->LenIds(t)[i], f.index.LenIds(t)[i]);
       ASSERT_EQ(loaded->LenLens(t)[i], f.index.LenLens(t)[i]);
-      ASSERT_EQ(loaded->IdIds(t)[i], f.index.IdIds(t)[i]);
     }
     // Derived structures are rebuilt.
     EXPECT_EQ(loaded->NumBlocks(t), f.index.NumBlocks(t));

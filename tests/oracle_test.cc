@@ -659,8 +659,8 @@ class Oracle {
       configs.push_back(RandomConfig(&rng, soak));
     }
     for (const Config& c : configs) {
-      uint64_t list_reads = 0, pool_traffic = 0;
       for (AlgorithmKind kind : kAllKinds) {
+        uint64_t list_reads = 0, pool_traffic = 0;
         for (const Query& query : w.queries) {
           const std::string why = Check(w, c, kind, query, &list_reads,
                                         &pool_traffic);
@@ -672,17 +672,18 @@ class Oracle {
           }
           return false;
         }
-      }
-      // A pool sees the traffic of every by-length list read through a
-      // segment store; sort-by-id's by-id lists and the delta's postings
-      // stay in memory.
-      if (c.door != Door::kDelta && list_reads > 0 &&
-          (pool_traffic > 0) != (c.storage == Storage::kDiskPool)) {
-        ADD_FAILURE() << "oracle: world=" << w.shape << " seed=" << w.seed
-                      << " " << Describe(c) << ": pool traffic "
-                      << pool_traffic << " over " << list_reads
-                      << " list reads";
-        return false;
+        // A pool sees the traffic of every list read through a segment
+        // store, whichever kernel reads it; the delta's postings stay in
+        // memory.
+        if (c.door != Door::kDelta && list_reads > 0 &&
+            (pool_traffic > 0) != (c.storage == Storage::kDiskPool)) {
+          ADD_FAILURE() << "oracle: world=" << w.shape << " seed=" << w.seed
+                        << " " << Describe(c) << " "
+                        << AlgorithmKindName(kind) << ": pool traffic "
+                        << pool_traffic << " over " << list_reads
+                        << " list reads";
+          return false;
+        }
       }
     }
     fronts_.clear();
@@ -884,9 +885,7 @@ class Oracle {
           r.counters.elements_total) {
         return "read + skipped != total: " + r.counters.ToString();
       }
-      if (kind != AlgorithmKind::kSortById) {
-        *list_reads += r.counters.elements_read;
-      }
+      *list_reads += r.counters.elements_read;
     }
     const uint64_t traffic = r.counters.pool_hits + r.counters.pool_misses;
     *pool_traffic += traffic;

@@ -186,26 +186,31 @@ TEST(PostingBlocksTest, SpanWalkMatchesNextWalkAccounting) {
       }
       cursor.MarkComplete();
     }
-    AccessCounters by_span;
-    uint64_t ids_sum_span = 0, ids_sum_next = 0;
-    {
-      ListCursor cursor(f.index, t, /*use_skip=*/true, &by_span);
-      PostingSpan span;
-      while (!(span = cursor.NextSpan(f.index.block_postings())).empty()) {
-        for (size_t i = 0; i < span.count; ++i) ids_sum_span += span.ids[i];
-      }
-      cursor.MarkComplete();
-    }
+    uint64_t ids_sum_next = 0;
     const uint32_t* ids = f.index.LenIds(t);
     for (size_t i = 0; i < f.index.ListSize(t); ++i) ids_sum_next += ids[i];
-    EXPECT_EQ(ids_sum_span, ids_sum_next) << "token " << t;
-    // Identical element and page totals: spans charge what Next charges.
-    EXPECT_EQ(by_span.elements_read, by_next.elements_read);
-    EXPECT_EQ(by_span.elements_total, by_next.elements_total);
-    EXPECT_EQ(by_span.seq_page_reads, by_next.seq_page_reads);
-    EXPECT_EQ(by_span.rand_page_reads, by_next.rand_page_reads);
-    EXPECT_EQ(by_span.elements_read + by_span.elements_skipped,
-              by_span.elements_total);
+    // Spans capped by the block boundary alone, then by max_count too.
+    for (size_t max_count : {std::numeric_limits<size_t>::max(),
+                             f.index.block_postings()}) {
+      AccessCounters by_span;
+      uint64_t ids_sum_span = 0;
+      {
+        ListCursor cursor(f.index, t, /*use_skip=*/true, &by_span);
+        PostingSpan span;
+        while (!(span = cursor.NextSpan(max_count)).empty()) {
+          for (size_t i = 0; i < span.count; ++i) ids_sum_span += span.ids[i];
+        }
+        cursor.MarkComplete();
+      }
+      EXPECT_EQ(ids_sum_span, ids_sum_next) << "token " << t;
+      // Identical element and page totals: spans charge what Next charges.
+      EXPECT_EQ(by_span.elements_read, by_next.elements_read);
+      EXPECT_EQ(by_span.elements_total, by_next.elements_total);
+      EXPECT_EQ(by_span.seq_page_reads, by_next.seq_page_reads);
+      EXPECT_EQ(by_span.rand_page_reads, by_next.rand_page_reads);
+      EXPECT_EQ(by_span.elements_read + by_span.elements_skipped,
+                by_span.elements_total);
+    }
   }
 }
 

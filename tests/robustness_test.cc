@@ -131,8 +131,10 @@ TEST(RobustnessTest, BitFlippedIndexFilesNeverCrash) {
   std::remove(path.c_str());
 }
 
-// Seeded structural mutations of saved v2, v3 and v4 index images and of a
-// posting-store image, each with its FNV-1a footer recomputed so the edit
+// Seeded structural mutations of saved v2, v3 and v4 index images, of the
+// committed v2, v3 and v4 images that still carry a by-id section (see
+// tests/data/README.md), and of a posting-store image, each with its FNV-1a
+// footer recomputed so the edit
 // reaches the decoders instead of the checksum: a flipped byte, or a hostile
 // 64-bit value (a length, count or offset of 2^32 or more, or NaN lengths)
 // written fixed or as a varint at a random position, and the same values at
@@ -165,15 +167,31 @@ TEST(RobustnessTest, MutatedImagesLoadOrFailCleanly) {
     std::string name;
     std::vector<uint8_t> bytes;
     std::vector<size_t> fields;  // byte offsets of allocation-sizing fields
+    const std::vector<std::string>* records;  // the records it indexes
   };
+  // Block size, offset count and first offset of the index header.
+  const std::vector<size_t> index_fields = {8, kHeader + 32, kHeader + 43,
+                                            kHeader + 51};
   std::vector<Image> images;
   for (uint32_t version :
        {InvertedIndex::kVersionLegacy, InvertedIndex::kVersionBlocks,
         InvertedIndex::kVersionLatest}) {
     ASSERT_TRUE(original.SaveIndex(path, version).ok());
-    // Block size, offset count and first offset of the index header.
     images.push_back({"v" + std::to_string(version), read_file(),
-                      {8, kHeader + 32, kHeader + 43, kHeader + 51}});
+                      index_fields, &records});
+  }
+  Result<Corpus> two_orders =
+      LoadCorpusFromFile(SIMSEL_TEST_DATA_DIR "/two_orders_records.txt");
+  ASSERT_TRUE(two_orders.ok()) << two_orders.status().ToString();
+  for (int version : {2, 3, 4}) {
+    const std::string name = "two_orders_v" + std::to_string(version);
+    std::ifstream in(SIMSEL_TEST_DATA_DIR "/" + name + ".simsel",
+                     std::ios::binary);
+    images.push_back({name,
+                      std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
+                                           {}),
+                      index_fields, &two_orders->records});
+    ASSERT_FALSE(images.back().bytes.empty()) << name;
   }
   ASSERT_TRUE(PostingStore::Build(original.index()).Save(path).ok());
   std::vector<uint8_t> store_bytes = read_file();
@@ -181,8 +199,10 @@ TEST(RobustnessTest, MutatedImagesLoadOrFailCleanly) {
   std::memcpy(&dir_size, store_bytes.data() + store_bytes.size() - 16, 8);
   const size_t dir = store_bytes.size() - 8 - dir_size;
   // Token count, block size and first list offset of the directory.
-  images.push_back(
-      {"store", std::move(store_bytes), {8, dir, dir + 8, dir + 16}});
+  images.push_back({"store",
+                    std::move(store_bytes),
+                    {8, dir, dir + 8, dir + 16},
+                    &records});
 
   std::mt19937_64 rng(20261019);
   size_t loaded = 0;
@@ -218,6 +238,7 @@ TEST(RobustnessTest, MutatedImagesLoadOrFailCleanly) {
       }
       const std::string context =
           image.name + " trial " + std::to_string(trial);
+      const std::vector<std::string>& image_records = *image.records;
       auto answer_or_status = [&](const SimilaritySelector& sel,
                                   const SelectOptions& options) {
         for (AlgorithmKind kind :
@@ -226,7 +247,8 @@ TEST(RobustnessTest, MutatedImagesLoadOrFailCleanly) {
               AlgorithmKind::kInra, AlgorithmKind::kSf,
               AlgorithmKind::kHybrid, AlgorithmKind::kPrefixFilter}) {
           for (SetId s : {0u, 7u, 41u}) {
-            const QueryResult r = sel.Select(records[s], 0.6, kind, options);
+            const QueryResult r =
+                sel.Select(image_records[s], 0.6, kind, options);
             EXPECT_TRUE(r.status.ok() || r.matches.empty()) << context;
           }
         }
@@ -240,7 +262,7 @@ TEST(RobustnessTest, MutatedImagesLoadOrFailCleanly) {
         answer_or_status(original, disk);
       } else {
         Result<SimilaritySelector> sel =
-            SimilaritySelector::BuildWithSavedIndex(records, path, build);
+            SimilaritySelector::BuildWithSavedIndex(image_records, path, build);
         if (!sel.ok()) continue;
         ++loaded;
         const PostingStore store = PostingStore::Build(sel->index());

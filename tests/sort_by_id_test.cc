@@ -2,27 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
 #include <vector>
 
 #include "core/linear_scan.h"
+#include "storage/buffer_pool.h"
 #include "storage/posting_store.h"
 #include "test_util.h"
 
-// The windowed counting merge behind SortByIdSelect. The corpus has more
-// than two 4096-id windows, so list ids straddle the 4095/4096 and 8191/8192
-// window seams; the marker words plant lists whose gaps skip whole windows
-// and windows holding a single posting.
+// The accumulating merge behind SortByIdSelect. The corpus has more than
+// 8192 sets, so list ids straddle the 4095/4096 and 8191/8192 seams (of the
+// accumulator's bitmap words, among others); the marker words plant lists
+// with gaps wider than 4096 ids and stretches holding a single posting.
 
 namespace simsel {
 namespace {
 
-constexpr SetId kWindow = 4096;
+constexpr SetId kSeam = 4096;
 constexpr size_t kRecords = 9300;
-// Rare marker words: "qjxqjx" sits on both sides of each window seam,
-// "vwkvwk" only in records 3 and 9000 (one gap wider than a window).
+// Rare marker words: "qjxqjx" sits on both sides of each seam, "vwkvwk"
+// only in records 3 and 9000 (one gap wider than kSeam ids).
 constexpr SetId kSeamRecords[] = {7, 4095, 4096, 8191, 8192, 9250};
 constexpr SetId kGapRecords[] = {3, 9000};
 
@@ -99,9 +101,9 @@ const std::vector<NamedQuery>& Queries() {
   return *queries;
 }
 
-// `partial` is sound: a prefix of `full` with identical scores (windows
-// finish in id order and finished windows are exact), in ascending order,
-// with every posting of the query lists either read or skipped.
+// `partial` is sound: a prefix of `full` with identical scores, in
+// ascending order, with every posting of the query lists either read or
+// skipped. (A tripped merge reports nothing, the empty prefix.)
 void ExpectSoundPrefix(const QueryResult& full, const QueryResult& partial,
                        const std::string& context) {
   EXPECT_TRUE(partial.status.ok()) << context;
@@ -132,17 +134,23 @@ uint64_t ListPages(const PreparedQuery& q) {
   return pages;
 }
 
+// The ids of token `t`'s list, ascending.
+std::vector<uint32_t> ListIds(TokenId t) {
+  const InvertedIndex& index = Selector().index();
+  std::vector<uint32_t> ids(index.LenIds(t), index.LenIds(t) + index.ListSize(t));
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
 TEST(SortByIdKernelTest, FixtureCoversSeamsGapsAndQuerySizes) {
   const SimilaritySelector& sel = Selector();
   const Dictionary& dict = sel.collection().dictionary();
   // The marker grams are as rare as planted.
-  const TokenId gap_token = *dict.Find("vwk");
-  ASSERT_EQ(sel.index().ListSize(gap_token), 2u);
-  const uint32_t* gap_ids = sel.index().IdIds(gap_token);
-  EXPECT_GT(gap_ids[1] - gap_ids[0], kWindow);
-  const TokenId seam_token = *dict.Find("qjx");
-  ASSERT_EQ(sel.index().ListSize(seam_token), std::size(kSeamRecords));
-  const uint32_t* seam_ids = sel.index().IdIds(seam_token);
+  const std::vector<uint32_t> gap_ids = ListIds(*dict.Find("vwk"));
+  ASSERT_EQ(gap_ids.size(), 2u);
+  EXPECT_GT(gap_ids[1] - gap_ids[0], kSeam);
+  const std::vector<uint32_t> seam_ids = ListIds(*dict.Find("qjx"));
+  ASSERT_EQ(seam_ids.size(), std::size(kSeamRecords));
   for (size_t i = 0; i < std::size(kSeamRecords); ++i) {
     EXPECT_EQ(seam_ids[i], kSeamRecords[i]);
   }
@@ -156,8 +164,6 @@ TEST(SortByIdKernelTest, FixtureCoversSeamsGapsAndQuerySizes) {
 
 TEST(SortByIdKernelTest, MemoryAndDiskMatchLinearScanBitForBit) {
   const SimilaritySelector& sel = Selector();
-  SelectOptions disk;
-  disk.posting_store = &Store();
   for (const NamedQuery& nq : Queries()) {
     for (double tau : {0.05, 0.3, 0.6, 0.9}) {
       const std::string context = nq.name + " tau=" + std::to_string(tau);
@@ -165,9 +171,16 @@ TEST(SortByIdKernelTest, MemoryAndDiskMatchLinearScanBitForBit) {
           LinearScanSelect(sel.measure(), sel.collection(), nq.q, tau);
       QueryResult mem = SortByIdSelect(sel.index(), sel.measure(), nq.q, tau);
       testing_util::ExpectSameMatches(scan.matches, mem.matches, context + " mem");
+      // A cold pool per query: every page of every list is one miss.
+      BufferPool pool(4096);
+      SelectOptions disk;
+      disk.posting_store = &Store();
+      disk.buffer_pool = &pool;
       QueryResult on_disk =
           sel.SelectPrepared(nq.q, tau, AlgorithmKind::kSortById, disk);
       testing_util::ExpectSameMatches(scan.matches, on_disk.matches, context + " disk");
+      EXPECT_EQ(on_disk.counters.pool_hits, 0u) << context;
+      EXPECT_EQ(on_disk.counters.pool_misses, ListPages(nq.q)) << context;
       // Every list is read completely: elements, and ⌈size/P⌉ sequential
       // pages per list.
       for (const QueryResult* r : {&mem, &on_disk}) {
@@ -228,9 +241,9 @@ TEST(SortByIdKernelTest, ControlledPartialsAreSoundPrefixes) {
   }
 }
 
-TEST(SortByIdKernelTest, UntrippedControlChargesLikeTheHoistedPath) {
-  // With an active control the charges are made per list segment; over a
-  // whole list they must telescope to the hoisted per-list totals.
+TEST(SortByIdKernelTest, UntrippedControlChargesLikeNoControl) {
+  // An active control that never trips changes neither the answer nor the
+  // charges.
   const SimilaritySelector& sel = Selector();
   std::atomic<bool> cancel{false};
   for (const NamedQuery& nq : Queries()) {

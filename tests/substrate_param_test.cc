@@ -59,7 +59,6 @@ InvertedIndex SingleListIndex(const std::vector<float>& lens,
       std::vector<std::string>(lens.size(), "x"), tokenizer);
   InvertedIndexOptions opts;
   opts.block_postings = block_postings;
-  opts.build_id_lists = false;
   opts.build_hash = false;
   return InvertedIndex::BuildWithLengths(collection, lens, opts);
 }
