@@ -1,8 +1,10 @@
 // Cold-cache study (beyond the paper's figures, quantifying its disk-cost
 // arguments): replay a workload through LRU buffer pools of varying size and
 // compare physical page misses per algorithm. SF's short sequential bursts
-// should be far more cache-friendly than TA's random hash probes — this is
-// the access-pattern difference behind the paper's wall-clock gaps on disk.
+// are the most cache-friendly pattern. The paper's TA probes separate hash
+// buckets, which defeat small caches; here a TA/iTA probe reads the landing
+// block's page of the probed list, a page of the query's own lists that
+// their cursors keep hot.
 //
 // Usage: bench_buffer_pool [--words=N] [--queries=N]
 
@@ -99,10 +101,11 @@ int Main(int argc, char** argv) {
                {"Algorithm", "ms/q", "seq pages/q", "rand pages/q"}, rows);
   }
   std::printf(
-      "\nExpected shape: SF needs the fewest physical reads at every pool "
-      "size; TA/iTA miss rates stay high until the pool holds most hash "
-      "buckets (random probes defeat small caches), mirroring the paper's "
-      "argument that random access is expensive on disk.\n");
+      "\nExpected shape: SF needs about the fewest physical reads at every "
+      "pool size and NRA the most. TA/iTA's random probes read pages of the "
+      "query's own lists, which the cursors keep hot, so iTA misses about "
+      "as often as SF; the paper's hash-bucket probes, which defeat small "
+      "caches, are what made random access expensive on disk.\n");
   bench::WriteBenchReport("buffer_pool");
   return 0;
 }

@@ -71,7 +71,7 @@ int Main(int argc, char** argv) {
   std::printf(
       "\nExpected shape (paper): skip lists give roughly a 2x improvement "
       "for every LB algorithm (growing with query size), at a tiny space "
-      "cost compared with the extendible hashing TA needs.\n");
+      "cost next to the lists themselves.\n");
   bench::WriteBenchReport("fig9_skip_lists");
   return 0;
 }

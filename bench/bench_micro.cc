@@ -1,5 +1,5 @@
 // Micro-benchmarks of the substrate containers (google-benchmark): sorted
-// length seeks, extendible hash probes, B+-tree seeks and scans,
+// length seeks, B+-tree seeks and scans,
 // tokenization, and single-query latencies of the main algorithms.
 
 #include <benchmark/benchmark.h>
@@ -12,7 +12,6 @@
 #include "btree/bplus_tree.h"
 #include "common/rng.h"
 #include "common/timer.h"
-#include "container/extendible_hash.h"
 #include "core/dynamic.h"
 #include "eval/experiment.h"
 #include "simd/kernels.h"
@@ -41,31 +40,6 @@ void BM_BinarySearchBaseline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BinarySearchBaseline)->Arg(1 << 16);
-
-void BM_ExtendibleHashLookup(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  ExtendibleHash hash(1024);
-  for (size_t i = 0; i < n; ++i) {
-    hash.Insert(i * 7919, static_cast<float>(i));
-  }
-  Rng rng(3);
-  float v;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hash.Lookup(rng.NextBounded(n) * 7919, &v));
-  }
-}
-BENCHMARK(BM_ExtendibleHashLookup)->Arg(1 << 10)->Arg(1 << 16);
-
-void BM_ExtendibleHashInsert(benchmark::State& state) {
-  Rng rng(4);
-  for (auto _ : state) {
-    state.PauseTiming();
-    ExtendibleHash hash(1024);
-    state.ResumeTiming();
-    for (int i = 0; i < 10000; ++i) hash.Insert(rng.NextU64(), 1.0f);
-  }
-}
-BENCHMARK(BM_ExtendibleHashInsert);
 
 void BM_BPlusTreeSeek(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

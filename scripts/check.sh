@@ -33,12 +33,14 @@
 #      (admission, drain, SLO), and oracle_test's pooled segment fan-outs
 #      (the differential oracle over every configuration) — must produce
 #      zero race reports (build-tsan/).
-#   6. UndefinedBehaviorSanitizer: the codec / SIMD-kernel / store tests
-#      and oracle_test, which runs every algorithm over v2/v3/v4 image
-#      round trips, under -fsanitize=undefined with non-recoverable reports
-#      (build-ubsan/) — the block codec's bit packing and the per-variant
-#      kernels are exactly where UB (shifts, misaligned loads, overflow)
-#      would hide.
+#   6. UndefinedBehaviorSanitizer: the codec / SIMD-kernel / store tests,
+#      membership_probe_test (TA/iTA's (len, id) search of the block
+#      summaries) and oracle_test, which runs every algorithm over v2/v3/v4
+#      image round trips, under -fsanitize=undefined with non-recoverable
+#      reports (build-ubsan/) — the block codec's bit packing, the
+#      per-variant kernels and the probe's index arithmetic are exactly
+#      where UB (shifts, misaligned loads, overflow) would hide. CI's
+#      ubsan job runs the same targets.
 #   7. Serving smoke: bench_ycsb (build-asan) stands up a live TCP server
 #      over a DynamicServing back end and drives it closed- and open-loop
 #      through src/gen/load.h — zero transport errors, full shed/ok
@@ -122,9 +124,9 @@ cmake -B build-ubsan -S . -DSIMSEL_WERROR=ON -DSIMSEL_ENABLE_UBSAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-ubsan -j "$jobs" \
       --target codec_test simd_kernels_test posting_store_test \
-               index_version_test oracle_test
+               index_version_test membership_probe_test oracle_test
 ctest --test-dir build-ubsan --output-on-failure -j "$jobs" \
-      -R 'codec_test|simd_kernels_test|posting_store_test|index_version_test|oracle_test'
+      -R 'codec_test|simd_kernels_test|posting_store_test|index_version_test|membership_probe_test|oracle_test'
 
 echo "== check.sh leg 7/11: network serving smoke (bench_ycsb under ASan) =="
 cmake --build build-asan -j "$jobs" --target bench_ycsb

@@ -6,8 +6,8 @@
 
 namespace simsel {
 
-/// Access accounting shared by index cursors, hash probes and the selection
-/// algorithms. Figures 7-9 of the paper are driven by these counters
+/// Access accounting shared by index cursors, membership probes and the
+/// selection algorithms. Figures 7-9 of the paper are driven by these counters
 /// (pruning power, sequential vs random I/O); every algorithm fills one
 /// AccessCounters per query.
 struct AccessCounters {
@@ -20,9 +20,10 @@ struct AccessCounters {
   uint64_t elements_total = 0;
   /// Simulated sequential page reads (list scans).
   uint64_t seq_page_reads = 0;
-  /// Simulated random page reads (hash-index probes, skip jumps).
+  /// Simulated random page reads (membership probes, skip jumps).
   uint64_t rand_page_reads = 0;
-  /// Random-access membership probes (TA/iTA extendible-hash lookups).
+  /// Random-access membership probes (TA/iTA block-summary searches, sketch
+  /// screens).
   uint64_t hash_probes = 0;
   /// Candidates ever inserted into the candidate set.
   uint64_t candidate_inserts = 0;

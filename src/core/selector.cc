@@ -265,8 +265,8 @@ Result<SimilaritySelector> SimilaritySelector::BuildWithSavedIndex(
                         lens[i] == sel.measure_->set_length(ids[i]);
     }
   }
-  // Validate() last: it checks the list orders and hashes the kernels rely
-  // on, which a hostile image with a recomputed checksum can break.
+  // Validate() last: it checks the list orders and summaries the kernels
+  // rely on, which a hostile image with a recomputed checksum can break.
   if (index.total_postings() != expected ||
       index.num_tokens() != sel.collection_->dictionary().size() ||
       sketch_mismatch || !postings_match || !index.Validate()) {
@@ -493,7 +493,6 @@ IndexSizeReport SimilaritySelector::Sizes() const {
     const InvertedIndex& index = *segment.index;
     report.inverted_lists += index.ListBytesTotal();
     report.skip_lists += index.SkipBytes();
-    report.extendible_hash += index.HashBytes();
     report.sketches += index.SketchBytes();
     if (segment.prefilter != nullptr) {
       report.sketches += segment.prefilter->DerivedBytes();

@@ -64,6 +64,8 @@ struct IndexSizeReport {
   size_t btree = 0;             // clustered composite index (0 if not built)
   size_t inverted_lists = 0;    // both sort orders
   size_t skip_lists = 0;        // the block summaries (length seeks)
+  /// Always 0: the index holds no hash. Stays only until simbench's
+  /// references to it are dropped (ROADMAP item 1's benchmark-kind change).
   size_t extendible_hash = 0;
   size_t sketches = 0;          // MinHash signatures + derived prefilter
 };

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/bitset.h"
-#include "common/logging.h"
 #include "core/internal.h"
 #include "index/list_cursor.h"
 #include "obs/trace.h"
@@ -14,6 +13,25 @@ namespace simsel {
 
 namespace internal {
 
+namespace {
+
+// Whether set `id` of length `len`, seen for the first time, is in list `t`,
+// whose cursor is `cursor`. Every posting the cursor has passed was marked
+// seen, so by Order Preservation a set that sorts before the cursor's
+// current posting is not in the list, and one equal to it is: only a set
+// still ahead of the cursor needs the index searched.
+bool InList(const ListCursor& cursor, const InvertedIndex& index, TokenId t,
+            float len, uint32_t id) {
+  if (cursor.AtEnd()) return false;
+  if (cursor.positioned() &&
+      (cursor.len() > len || (cursor.len() == len && cursor.id() >= id))) {
+    return cursor.len() == len && cursor.id() == id;
+  }
+  return index.Contains(t, len, id);
+}
+
+}  // namespace
+
 QueryResult TaEngineSelect(const InvertedIndex& index,
                            const IdfMeasure& measure, const PreparedQuery& q,
                            double tau, const SelectOptions& options,
@@ -22,8 +40,6 @@ QueryResult TaEngineSelect(const InvertedIndex& index,
   QueryResult result;
   const size_t n = q.tokens.size();
   if (n == 0) return result;
-  SIMSEL_CHECK_MSG(index.options().build_hash,
-                   "TA needs an index built with build_hash");
   AccessCounters& counters = result.counters;
   ControlPoller poller(options.control, counters);
 
@@ -104,25 +120,23 @@ QueryResult TaEngineSelect(const InvertedIndex& index,
       SetBit(bits.data(), i);
       for (size_t j = 0; j < n; ++j) {
         if (j == i) continue;
-        const ExtendibleHash* hash = index.hash(q.tokens[j]);
-        // A token with an empty posting list has no hash (shard indexes over
-        // a global dictionary hit this routinely): absence means non-member.
-        if (hash == nullptr) continue;
+        const TokenId t = q.tokens[j];
+        // An empty list holds nothing (shard indexes over a global
+        // dictionary hit this routinely): no probe is issued.
+        if (index.ListSize(t) == 0) continue;
         ++counters.hash_probes;
+        ++counters.rand_page_reads;
+        if (InList(cursors[j], index, t, len, id)) SetBit(bits.data(), j);
         if (options.buffer_pool != nullptr) {
-          // Hash buckets live in file ids [num_tokens, 2·num_tokens), past
-          // every posting list's (list t is file t).
+          // The landing block's page, keyed as the list's cursors key it.
           bool hit = options.buffer_pool->Touch(BufferPool::PageKey(
-              static_cast<uint32_t>(index.num_tokens() + q.tokens[j]),
-              hash->ProbePageId(id)));
+              t, index.ProbeBlockFirst(t, len, id) /
+                     index.entries_per_page()));
           if (hit) {
             ++counters.pool_hits;
           } else {
             ++counters.pool_misses;
           }
-        }
-        if (hash->Lookup(id, nullptr, &counters.rand_page_reads)) {
-          SetBit(bits.data(), j);
         }
       }
       double score = measure.ScoreFromWords(q, bits.data(), len);

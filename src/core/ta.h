@@ -9,15 +9,18 @@ namespace simsel {
 
 /// Classic Threshold Algorithm (Fagin et al.): round-robin sequential access
 /// over the weight-sorted lists; every newly seen set id is completed
-/// immediately by probing the other lists' extendible hashes (one random
-/// page I/O each). Terminates when the frontier bound F drops below tau.
-/// Requires an index built with `build_hash`.
+/// immediately by a membership probe of each other list (one random page
+/// I/O each). The set arrives with its len(s), and lists are sorted by
+/// (len, id), so the probe searches the block summaries and one block
+/// (InvertedIndex::Contains) instead of a per-list hash, or is answered by
+/// the list's cursor when it already stands at or past (len(s), s).
+/// Terminates when the frontier bound F drops below tau.
 QueryResult TaSelect(const InvertedIndex& index, const IdfMeasure& measure,
                      const PreparedQuery& q, double tau);
 
 /// iTA (Section V remark): TA plus Length Boundedness (skip to τ·len(q),
 /// stop past len(q)/τ) and Magnitude Boundedness (a set whose best-case
-/// score is below tau is discarded before any hash probe is issued).
+/// score is below tau is discarded before any membership probe is issued).
 QueryResult ItaSelect(const InvertedIndex& index, const IdfMeasure& measure,
                       const PreparedQuery& q, double tau,
                       const SelectOptions& options);

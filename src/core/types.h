@@ -154,12 +154,11 @@ struct SelectOptions {
   /// the query falls through unchanged. Ignored by the unindexed baselines
   /// (scan/SQL/sort-by-id).
   bool prefilter = true;
-  /// Optional cache simulator: when set, every list page and hash bucket
-  /// the inverted-list algorithms touch goes through this LRU and the
-  /// hit/miss counts land in QueryResult counters (see
-  /// storage/buffer_pool.h). Borrowed, not owned. Thread-safe (sharded):
-  /// one pool may back any number of concurrent queries, modeling a shared
-  /// server-wide page cache.
+  /// Optional cache simulator: when set, every list page the inverted-list
+  /// algorithms touch goes through this LRU and the hit/miss counts land in
+  /// QueryResult counters (see storage/buffer_pool.h). Borrowed, not owned.
+  /// Thread-safe (sharded): one pool may back any number of concurrent
+  /// queries, modeling a shared server-wide page cache.
   BufferPool* buffer_pool = nullptr;
   /// Optional disk mode: when set, cursors fetch postings block-by-block
   /// out of this page-aligned store (real byte copies, page-granular I/O
@@ -193,7 +192,7 @@ enum class AlgorithmKind {
   kLinearScan,  ///< no index; exact scores for every set (testing baseline)
   kSql,         ///< relational plan on the q-gram table's clustered B-tree
   kSortById,    ///< merge of the query lists by id (no pruning)
-  kTa,          ///< classic Threshold Algorithm (random access via hashes)
+  kTa,          ///< classic Threshold Algorithm (random membership probes)
   kNra,         ///< classic No-Random-Access algorithm
   kIta,         ///< TA + semantic properties (Section V remark)
   kInra,        ///< improved NRA (Section V)

@@ -137,7 +137,6 @@ void InvertedIndex::BuildDerived() {
   SIMSEL_CHECK_MSG(options_.block_postings >= 1 &&
                        options_.block_postings <= kMaxBlockPostings,
                    "block_postings must be in [1, kMaxBlockPostings]");
-  hashes_.clear();
   // Block summaries in CSR layout: ceil(size / block) blocks per token.
   const size_t bp = options_.block_postings;
   block_offsets_.assign(num_tokens + 1, 0);
@@ -145,7 +144,6 @@ void InvertedIndex::BuildDerived() {
     block_offsets_[t + 1] = block_offsets_[t] + (ListSize(t) + bp - 1) / bp;
   }
   blocks_.resize(block_offsets_[num_tokens]);
-  if (options_.build_hash) hashes_.resize(num_tokens);
 
   std::unique_ptr<ThreadPool> pool =
       MakeBuildPool(options_, total_postings());
@@ -158,11 +156,6 @@ void InvertedIndex::BuildDerived() {
       const size_t last = std::min(n, first + bp) - 1;
       blocks[b] = PostingBlockSummary{lens[first], lens[last], ids[first],
                                       ids[last]};
-    }
-    if (options_.build_hash && n > 0) {
-      auto hash = std::make_unique<ExtendibleHash>(options_.hash_page_bytes);
-      for (size_t i = 0; i < n; ++i) hash->Insert(ids[i], lens[i]);
-      hashes_[t] = std::move(hash);
     }
   });
 }
@@ -229,16 +222,50 @@ PostingRange InvertedIndex::WindowSpan(TokenId t, float lo_len, float hi_len,
   return range;
 }
 
-size_t InvertedIndex::ListBytesTotal() const {
-  return len_ids_.size() * 8 + offsets_.size() * sizeof(uint64_t);
+namespace {
+// Whether posting (l, i) precedes (len, id) in a list's (len, id) order.
+bool PostingBefore(float l, uint32_t i, float len, uint32_t id) {
+  return l < len || (l == len && i < id);
+}
+}  // namespace
+
+size_t InvertedIndex::ProbeBlockFirst(TokenId t, float len,
+                                      uint32_t id) const {
+  if (ListSize(t) == 0) return 0;
+  const PostingBlockSummary* blocks = Blocks(t);
+  size_t lo = 0, hi = NumBlocks(t) - 1;
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (PostingBefore(blocks[mid].max_len, blocks[mid].last_id, len, id)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo * options_.block_postings;
 }
 
-size_t InvertedIndex::HashBytes() const {
-  size_t bytes = 0;
-  for (const auto& h : hashes_) {
-    if (h != nullptr) bytes += h->SizeBytes();
+bool InvertedIndex::Contains(TokenId t, float len, uint32_t id) const {
+  const size_t n = ListSize(t);
+  if (n == 0) return false;
+  // The first posting of the landing block that is >= (len, id).
+  const float* lens = LenLens(t);
+  const uint32_t* ids = LenIds(t);
+  size_t a = ProbeBlockFirst(t, len, id);
+  size_t b = std::min(n, a + options_.block_postings);
+  while (a < b) {
+    const size_t mid = a + (b - a) / 2;
+    if (PostingBefore(lens[mid], ids[mid], len, id)) {
+      a = mid + 1;
+    } else {
+      b = mid;
+    }
   }
-  return bytes;
+  return a < n && ids[a] == id && lens[a] == len;
+}
+
+size_t InvertedIndex::ListBytesTotal() const {
+  return len_ids_.size() * 8 + offsets_.size() * sizeof(uint64_t);
 }
 
 bool InvertedIndex::Validate() const {
@@ -253,23 +280,6 @@ bool InvertedIndex::Validate() const {
         std::fprintf(stderr, "InvertedIndex: by-length order violated "
                              "(token %u pos %zu)\n", t, i);
         return false;
-      }
-    }
-    const ExtendibleHash* h = hash(t);
-    if (h != nullptr) {
-      if (h->size() != n) {
-        std::fprintf(stderr, "InvertedIndex: hash size mismatch (token %u)\n",
-                     t);
-        return false;
-      }
-      for (size_t i = 0; i < n; ++i) {
-        float len = 0;
-        if (!h->Lookup(lids[i], &len) || len != llens[i]) {
-          std::fprintf(stderr,
-                       "InvertedIndex: hash entry mismatch (token %u id %u)\n",
-                       t, lids[i]);
-          return false;
-        }
       }
     }
     // Block summaries: CSR shape, per-block extrema matching the data.
@@ -315,6 +325,11 @@ constexpr uint8_t kRetiredBuildSkip = 1;
 // and ignored on Load. Images that still carry the by-id section flag it
 // after the lists, and Load skips it.
 constexpr uint8_t kRetiredBuildIdLists = 0;
+// Header slots of the retired per-list extendible hashes (their bucket page
+// size and build flag). Written as the old defaults so images stay
+// byte-identical, and ignored on Load.
+constexpr uint64_t kRetiredHashPageBytes = 1024;
+constexpr uint8_t kRetiredBuildHash = 1;
 }  // namespace
 
 void InvertedIndex::EncodeTo(std::vector<uint8_t>* bufp, uint32_t version,
@@ -328,11 +343,11 @@ void InvertedIndex::EncodeTo(std::vector<uint8_t>* bufp, uint32_t version,
   PutFixed32(&buf, version);
   PutFixed64(&buf, options_.page_bytes);
   PutFixed64(&buf, kRetiredSkipFanout);
-  PutFixed64(&buf, options_.hash_page_bytes);
+  PutFixed64(&buf, kRetiredHashPageBytes);
   PutFixed64(&buf, options_.block_postings);
   buf.push_back(kRetiredBuildIdLists);
   buf.push_back(kRetiredBuildSkip);
-  buf.push_back(options_.build_hash ? 1 : 0);
+  buf.push_back(kRetiredBuildHash);
   PutFixed64(&buf, offsets_.size());
   for (uint64_t o : offsets_) PutVarint64(&buf, o);
 
@@ -418,22 +433,20 @@ Result<InvertedIndex> InvertedIndex::Load(const std::string& path) {
     return Status::Corruption("unsupported index version in: " + path);
   }
   InvertedIndex index;
-  uint64_t page_bytes, retired_skip_fanout, hash_page_bytes, block_postings;
+  uint64_t page_bytes, retired_skip_fanout, retired_hash_page_bytes,
+      block_postings;
   if (!GetFixed64(&dec, &page_bytes) ||
       !GetFixed64(&dec, &retired_skip_fanout) ||
-      !GetFixed64(&dec, &hash_page_bytes) ||
+      !GetFixed64(&dec, &retired_hash_page_bytes) ||
       !GetFixed64(&dec, &block_postings) || page_bytes < kMinPageBytes ||
-      page_bytes > kMaxPageBytes || hash_page_bytes < kMinPageBytes ||
-      hash_page_bytes > kMaxPageBytes || block_postings == 0 ||
+      page_bytes > kMaxPageBytes || block_postings == 0 ||
       block_postings > kMaxBlockPostings ||
       dec.remaining() < 3) {
     return Status::Corruption("truncated index options in: " + path);
   }
   index.options_.page_bytes = page_bytes;
-  index.options_.hash_page_bytes = hash_page_bytes;
   index.options_.block_postings = block_postings;
-  dec.pos += 2;  // the retired by-id and skip build flags
-  index.options_.build_hash = dec.data[dec.pos++] != 0;
+  dec.pos += 3;  // the retired by-id, skip and hash build flags
   // Every count below comes off the file, so each is bounded by the bytes
   // left before it sizes anything: an offset is at least one varint byte
   // and a posting at least one byte in either format. Offsets start at 0

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "container/extendible_hash.h"
 #include "index/collection.h"
 #include "sim/idf.h"
 #include "sketch/minhash.h"
@@ -20,21 +19,21 @@ class ThreadPool;
 struct InvertedIndexOptions {
   /// Modeled disk page size for list storage (drives page accounting).
   size_t page_bytes = 4096;
-  /// Bucket page size of the per-list extendible hash (paper tuned 1 KiB).
-  size_t hash_page_bytes = 1024;
   /// Posting-block granularity of the per-block summaries: every by-length
   /// list is covered by fixed-size blocks of this many postings, each with a
   /// {min_len, max_len, first_id, last_id} summary. Length seeks binary-
   /// search the summaries (they are the paper's skip lists) and span reads
   /// never cross a block boundary. At most kMaxBlockPostings.
   size_t block_postings = 128;
-  /// Worker threads for the build passes (per-token sorting, summaries,
-  /// hashes; per-set signatures; the prefilter's band tables).
+  /// Worker threads for the build passes (per-token sorting and summaries;
+  /// per-set signatures; the prefilter's band tables).
   /// 0 = auto: parallel only when the index is large enough to amortize
   /// spawning workers (see MakeBuildPool). The result is identical either
   /// way (every pass is deterministic per token, set or band).
   size_t build_threads = 0;
-  /// Build per-list extendible hashes (needed by TA/iTA random access).
+  /// Ignored: TA/iTA probe the block summaries, so no index builds a hash.
+  /// Stays only until simbench's references to it are dropped (ROADMAP
+  /// item 1's benchmark-kind change).
   bool build_hash = true;
   /// Build per-set MinHash signatures for the sketch prefilter tier
   /// (src/sketch/). Off by default: every admitted set still needs exact
@@ -103,9 +102,10 @@ struct IndexFileStats {
 /// sort-by-id merge (Figure 2) reads every posting, so it accumulates these
 /// lists by id instead of keeping a second, id-sorted copy.
 ///
-/// Each by-length list carries block summaries (the skip structure: a seek
-/// to the Length Boundedness window binary-searches them) and optionally an
-/// ExtendibleHash mapping set id -> len for TA-style random-access probes.
+/// Each by-length list carries block summaries. They are the skip
+/// structure (a seek to the Length Boundedness window binary-searches them)
+/// and serve TA-style random access too: a candidate arrives with its
+/// len(s), so "is s in list t?" is a search by (len, id) (see Contains).
 ///
 /// Lists are stored struct-of-arrays in CSR layout: ids and lengths in two
 /// flat arrays with a shared per-token offset table.
@@ -131,7 +131,7 @@ class InvertedIndex {
   /// len(s) are collection-wide statistics — which is what lets the serving
   /// layer (serve/sharded_selector.h) merge per-shard answers into exactly
   /// the single-index answer. Tokens absent from the range simply get empty
-  /// lists (and no hash).
+  /// lists.
   static InvertedIndex BuildShard(const Collection& collection,
                                   const IdfMeasure& measure, SetId begin,
                                   SetId end, InvertedIndexOptions options = {});
@@ -172,17 +172,26 @@ class InvertedIndex {
   PostingRange WindowSpan(TokenId t, float lo_len, float hi_len,
                           uint64_t* probes = nullptr) const;
 
-  /// Extendible hash (set id -> len) over the list, or null if not built.
-  const ExtendibleHash* hash(TokenId t) const {
-    return hashes_.empty() ? nullptr : hashes_[t].get();
-  }
+  /// TA/iTA's random-access membership probe: whether set `id`, of length
+  /// `len`, is in `t`'s list. Lists are sorted by (len, id) (Order
+  /// Preservation), so this finds the probe's landing block through the
+  /// summaries (ProbeBlockFirst), then binary-searches that block's
+  /// postings for an exact match. Empty lists hold nothing.
+  bool Contains(TokenId t, float len, uint32_t id) const;
+  /// First position of the block a probe for (len, id) lands on: the first
+  /// block whose last posting is >= (len, id), or the last block when
+  /// (len, id) lies past the list; 0 for an empty list. A binary search of
+  /// the block summaries alone. Its page is the one a probe reads.
+  size_t ProbeBlockFirst(TokenId t, float len, uint32_t id) const;
 
   /// Figure 5 size accounting (bytes): the lists (8 bytes per posting) with
-  /// their offset table, skip lists, and extendible hashes. The block
-  /// summaries do the skip lists' job, so SkipBytes() reports them.
+  /// their offset table and skip lists. The block summaries do the skip
+  /// lists' job, so SkipBytes() reports them.
   size_t ListBytesTotal() const;
   size_t SkipBytes() const { return BlockSummaryBytes(); }
-  size_t HashBytes() const;
+  /// Always 0: the index holds no hash. Stays only until simbench's
+  /// references to it are dropped (ROADMAP item 1's benchmark-kind change).
+  size_t HashBytes() const { return 0; }
   size_t BlockSummaryBytes() const {
     return blocks_.size() * sizeof(PostingBlockSummary);
   }
@@ -212,8 +221,8 @@ class InvertedIndex {
   static constexpr uint32_t kVersionBlocks = 3;
   static constexpr uint32_t kVersionLatest = 4;
 
-  /// Serializes lists + options to `path` (summaries and hashes are derived
-  /// structures and are rebuilt on Load). `version` selects the wire format — the
+  /// Serializes lists + options to `path` (the summaries are a derived
+  /// structure and are rebuilt on Load). `version` selects the wire format — the
   /// latest by default; kVersionLegacy is kept writable for migration and
   /// for the format-size comparisons in the Figure 5 bench. `stats`, when
   /// non-null, receives the byte accounting of the written file.
@@ -225,7 +234,7 @@ class InvertedIndex {
   IndexFileStats EncodedStats(uint32_t version = kVersionLatest) const;
 
   /// Structural invariant check (for tests and post-Load paranoia): lists
-  /// sorted by (len, id), block summaries and hash entries matching them.
+  /// sorted by (len, id) and block summaries matching them.
   /// Returns false and logs the first violation to stderr.
   bool Validate() const;
 
@@ -242,7 +251,6 @@ class InvertedIndex {
   std::vector<uint64_t> offsets_;  // size num_tokens + 1
   std::vector<uint32_t> len_ids_;  // by (len asc, id asc)
   std::vector<float> len_lens_;
-  std::vector<std::unique_ptr<ExtendibleHash>> hashes_;
   std::vector<PostingBlockSummary> blocks_;  // concatenated per token
   std::vector<uint64_t> block_offsets_;      // size num_tokens + 1
   // Sketch section: num_sets rows of options_.sketch.k signature words for

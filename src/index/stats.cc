@@ -26,7 +26,6 @@ IndexStats ComputeIndexStats(const InvertedIndex& index) {
     const float* lens = index.LenLens(t);
     stats.min_set_length = std::min(stats.min_set_length, lens[0]);
     stats.max_set_length = std::max(stats.max_set_length, lens[n - 1]);
-    if (index.hash(t) != nullptr) ++stats.lists_with_hash;
   }
   if (sizes.empty()) {
     stats.min_list = 0;
@@ -52,10 +51,10 @@ std::string IndexStats::ToString() const {
       buf, sizeof(buf),
       "tokens=%zu (non-empty %zu)  postings=%llu\n"
       "list sizes: min=%zu p50=%zu p90=%zu p99=%zu max=%zu avg=%.1f\n"
-      "set lengths: [%.3f, %.3f]  hashed lists=%zu",
+      "set lengths: [%.3f, %.3f]",
       num_tokens, non_empty_lists, (unsigned long long)total_postings,
       min_list, p50_list, p90_list, p99_list, max_list, avg_list,
-      min_set_length, max_set_length, lists_with_hash);
+      min_set_length, max_set_length);
   return buf;
 }
 

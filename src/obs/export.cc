@@ -40,7 +40,7 @@ const char* MetricHelp(const std::string& name) {
       {"simsel_postings_skipped_total", "Postings bypassed via skip index"},
       {"simsel_page_reads_seq_total", "Sequential page reads (simulated I/O)"},
       {"simsel_page_reads_rand_total", "Random page reads (simulated I/O)"},
-      {"simsel_hash_probes_total", "Extendible-hash membership probes"},
+      {"simsel_hash_probes_total", "Random-access membership probes"},
       {"simsel_candidates_inserted_total", "Candidate-set insertions"},
       {"simsel_candidates_pruned_total", "Candidate-set prunes"},
       {"simsel_candidate_scan_steps_total", "Candidate-set scan steps"},

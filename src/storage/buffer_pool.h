@@ -21,7 +21,7 @@ class Gauge;
 ///
 /// The paper's indexes are disk-resident and "caching [is left] up to the
 /// operating system and the disk drive". This class models that cache: each
-/// page the cursors or hash probes touch is looked up in an LRU of
+/// page the cursors or membership probes touch is looked up in an LRU of
 /// `capacity` frames; a miss is a physical disk read, a hit is free. Wire a
 /// pool into SelectOptions::buffer_pool to measure how the algorithms'
 /// access patterns (SF's short sequential bursts vs TA's random probes)

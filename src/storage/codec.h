@@ -43,9 +43,9 @@ bool GetFloat(Decoder* dec, float* v);
 bool GetDouble(Decoder* dec, double* v);
 bool GetLengthPrefixed(Decoder* dec, std::string* s);
 
-/// FNV-1a 64-bit hash; used both as serialization checksum and as the
-/// bucket hash of the extendible hash table. The seeded overload continues
-/// an existing hash, enabling streaming checksums over multiple buffers.
+/// FNV-1a 64-bit hash; used as the serialization checksum. The seeded
+/// overload continues an existing hash, enabling streaming checksums over
+/// multiple buffers.
 constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
 uint64_t Fnv1a64(const void* data, size_t len,
                  uint64_t seed = kFnvOffsetBasis);

@@ -573,6 +573,11 @@ TEST(DynamicServingTest, PatchedHitsMatchUncachedAcrossBackgroundRebuilds) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   serving.selector().WaitForRebuild();
+  // How many background rebuilds the script finished depends on the
+  // scheduler (a slow host may finish only one). One more rebuild, forced
+  // and awaited with the readers still running, makes a second generation
+  // certain: mid_build > 0 below asserts the first.
+  serving.Rebuild();
   while (compared.load(std::memory_order_relaxed) < 200 &&
          std::all_of(failures.begin(), failures.end(),
                      [](const std::string& f) { return f.empty(); })) {

@@ -33,7 +33,6 @@ BuildOptions TestBuild() {
   build.build_sql_baseline = true;
   build.index.build_sketches = true;
   build.index.page_bytes = 512;
-  build.index.hash_page_bytes = 256;
   build.btree_page_bytes = 512;
   return build;
 }

@@ -69,42 +69,12 @@ TEST(InvertedIndexTest, ListSizesMatchDf) {
   }
 }
 
-TEST(InvertedIndexTest, HashIndexAgreesWithLists) {
-  Fixture f;
-  for (TokenId t = 0; t < f.index.num_tokens(); ++t) {
-    const ExtendibleHash* hash = f.index.hash(t);
-    size_t n = f.index.ListSize(t);
-    if (n == 0) {
-      EXPECT_EQ(hash, nullptr);
-      continue;
-    }
-    ASSERT_NE(hash, nullptr);
-    EXPECT_EQ(hash->size(), n);
-    const uint32_t* ids = f.index.LenIds(t);
-    const float* lens = f.index.LenLens(t);
-    for (size_t i = 0; i < n; ++i) {
-      float len = 0;
-      ASSERT_TRUE(hash->Lookup(ids[i], &len));
-      EXPECT_FLOAT_EQ(len, lens[i]);
-    }
-  }
-}
-
-TEST(InvertedIndexTest, OptionalStructuresCanBeDisabled) {
-  InvertedIndexOptions opts;
-  opts.build_hash = false;
-  Fixture f(100, opts);
-  EXPECT_EQ(f.index.hash(0), nullptr);
-  EXPECT_EQ(f.index.HashBytes(), 0u);
-}
-
 TEST(InvertedIndexTest, SizeAccounting) {
   Fixture f;
   // One list order: 8 bytes per posting plus the offset table.
   EXPECT_EQ(f.index.ListBytesTotal(),
             f.index.total_postings() * 8 +
                 (f.index.num_tokens() + 1) * sizeof(uint64_t));
-  EXPECT_GT(f.index.HashBytes(), 0u);
   // Skip lists (the block summaries) are tiny relative to the lists.
   EXPECT_EQ(f.index.SkipBytes(), f.index.BlockSummaryBytes());
   EXPECT_LT(f.index.SkipBytes(), f.index.total_postings() * 8);
@@ -113,10 +83,6 @@ TEST(InvertedIndexTest, SizeAccounting) {
 TEST(InvertedIndexTest, ValidatePasses) {
   Fixture f;
   EXPECT_TRUE(f.index.Validate());
-  InvertedIndexOptions bare;
-  bare.build_hash = false;
-  Fixture minimal(150, bare);
-  EXPECT_TRUE(minimal.index.Validate());
 }
 
 TEST(InvertedIndexTest, SaveLoadRoundtrip) {
@@ -136,7 +102,6 @@ TEST(InvertedIndexTest, SaveLoadRoundtrip) {
     }
     // Derived structures are rebuilt.
     EXPECT_EQ(loaded->NumBlocks(t), f.index.NumBlocks(t));
-    EXPECT_EQ(loaded->hash(t) != nullptr, f.index.hash(t) != nullptr);
   }
   EXPECT_TRUE(loaded->Validate());
   std::remove(path.c_str());

@@ -88,7 +88,6 @@ BuildOptions WorldBuild(TokenizerKind tokenizer) {
   build.build_sql_baseline = true;
   // Small pages and blocks so test-sized lists span several of each.
   build.index.page_bytes = 512;
-  build.index.hash_page_bytes = 256;
   build.index.block_postings = 16;
   build.btree_page_bytes = 512;
   return build;

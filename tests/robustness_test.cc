@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -129,6 +130,54 @@ TEST(RobustnessTest, BitFlippedIndexFilesNeverCrash) {
     ASSERT_TRUE(original.SaveIndex(path).ok());
   }
   std::remove(path.c_str());
+}
+
+// The header slot of the retired per-list hashes' build flag is ignored on
+// Load: a valid v3 image with that byte cleared (and its checksum
+// recomputed) loads and answers TA and iTA with the ids and score bits of a
+// fresh build, since every index serves random access from its summaries.
+TEST(RobustnessTest, ClearedHashFlagStillAnswersTa) {
+  const std::vector<std::string> records =
+      testing_util::MakeWordRecords(200, /*seed=*/39);
+  const SimilaritySelector fresh = SimilaritySelector::Build(records);
+  const std::string path = TempPath("simsel_no_hash_flag.idx");
+  ASSERT_TRUE(fresh.SaveIndex(path, InvertedIndex::kVersionBlocks).ok());
+  std::vector<uint8_t> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // [16-byte file header][magic, version, page bytes, retired skip fanout,
+  // retired hash page bytes, block postings, by-id flag, skip flag, hash
+  // flag][...][8-byte footer].
+  const size_t hash_flag = 16 + 42;
+  ASSERT_GT(bytes.size(), hash_flag + 8);
+  ASSERT_EQ(bytes[hash_flag], 1);
+  bytes[hash_flag] = 0;
+  const size_t footer = bytes.size() - 8;
+  const uint64_t sum = Fnv1a64(bytes.data(), footer);
+  std::memcpy(bytes.data() + footer, &sum, 8);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  Result<SimilaritySelector> loaded =
+      SimilaritySelector::BuildWithSavedIndex(records, path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (AlgorithmKind kind : {AlgorithmKind::kTa, AlgorithmKind::kIta}) {
+    for (SetId s = 0; s < records.size(); s += 7) {
+      for (double tau : {0.6, 0.8}) {
+        const QueryResult want = fresh.Select(records[s], tau, kind, {});
+        const QueryResult got = loaded->Select(records[s], tau, kind, {});
+        ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+        EXPECT_EQ(testing_util::MatchDifference(want.matches, got.matches),
+                  "")
+            << AlgorithmKindName(kind) << " record " << s << " tau " << tau;
+      }
+    }
+  }
 }
 
 // Seeded structural mutations of saved v2, v3 and v4 index images, of the

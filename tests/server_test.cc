@@ -37,7 +37,6 @@ DynamicServingOptions SmallServe(size_t segments, ThreadPool* pool = nullptr) {
   o.build.num_segments = segments;
   o.build.tokenizer.q = 3;
   o.build.index.page_bytes = 512;
-  o.build.index.hash_page_bytes = 256;
   o.pool = pool;
   return o;
 }

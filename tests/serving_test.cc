@@ -36,7 +36,6 @@ BuildOptions SmallBuild() {
   BuildOptions build;
   build.tokenizer.q = 3;
   build.index.page_bytes = 512;
-  build.index.hash_page_bytes = 256;
   return build;
 }
 

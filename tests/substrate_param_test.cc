@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <tuple>
 
 #include "btree/bplus_tree.h"
 #include "common/rng.h"
-#include "container/extendible_hash.h"
 #include "index/collection.h"
 #include "index/inverted_index.h"
 #include "text/tokenizer.h"
@@ -59,7 +57,6 @@ InvertedIndex SingleListIndex(const std::vector<float>& lens,
       std::vector<std::string>(lens.size(), "x"), tokenizer);
   InvertedIndexOptions opts;
   opts.block_postings = block_postings;
-  opts.build_hash = false;
   return InvertedIndex::BuildWithLengths(collection, lens, opts);
 }
 
@@ -104,43 +101,6 @@ INSTANTIATE_TEST_SUITE_P(
       name += names[static_cast<int>(std::get<1>(info.param))];
       return name;
     }));
-
-// --- Extendible hash: bucket page size sweep. ---
-
-class ExtendibleHashSweep : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(ExtendibleHashSweep, FullLifecycle) {
-  const size_t page = GetParam();
-  ExtendibleHash hash(page);
-  std::map<uint64_t, float> reference;
-  Rng rng(3 + page);
-  for (int i = 0; i < 5000; ++i) {
-    uint64_t key = rng.NextBounded(4000);
-    float value = static_cast<float>(i);
-    if (rng.NextBernoulli(0.15) && !reference.empty()) {
-      // Random erase of an existing key.
-      auto it = reference.begin();
-      std::advance(it, rng.NextBounded(reference.size()));
-      EXPECT_TRUE(hash.Erase(it->first));
-      reference.erase(it);
-    } else {
-      hash.Insert(key, value);
-      reference[key] = value;
-    }
-  }
-  EXPECT_EQ(hash.size(), reference.size());
-  for (const auto& [key, value] : reference) {
-    float v = 0;
-    ASSERT_TRUE(hash.Lookup(key, &v)) << "page=" << page << " key=" << key;
-    EXPECT_FLOAT_EQ(v, value);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(PageSizes, ExtendibleHashSweep,
-                         ::testing::Values(64, 128, 512, 4096),
-                         [](const auto& info) {
-                           return "page" + std::to_string(info.param);
-                         });
 
 // --- B+-tree: page size × insertion pattern sweep. ---
 

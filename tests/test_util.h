@@ -47,7 +47,6 @@ inline SimilaritySelector MakeSelector(size_t n, uint64_t seed,
   build.index.build_sketches = with_sketches;
   // Small pages so page accounting is exercised even on test-sized lists.
   build.index.page_bytes = 512;
-  build.index.hash_page_bytes = 256;
   build.btree_page_bytes = 512;
   return SimilaritySelector::Build(MakeWordRecords(n, seed), build);
 }
