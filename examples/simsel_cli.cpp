@@ -705,8 +705,6 @@ int main(int argc, char** argv) {
                   sizes.inverted_lists);
       std::printf("skip lists (block summaries)  %10zu bytes\n",
                   sizes.skip_lists);
-      std::printf("extendible hash               %10zu bytes\n",
-                  sizes.extendible_hash);
       std::printf("sketches                      %10zu bytes\n",
                   sizes.sketches);
       return 0;

@@ -1,6 +1,7 @@
 // InvertedIndex::Contains and ProbeBlockFirst, TA/iTA's random-access
-// membership probe and the block it reads, against brute force: every posting of every list, and absent (len, id) pairs next
-// to them, on list shapes chosen to stress the two binary searches.
+// membership probe and the block it reads, against brute force: every
+// posting of every list, and absent (len, id) pairs next to them, on list
+// shapes chosen to stress the two binary searches.
 
 #include <gtest/gtest.h>
 
@@ -18,8 +19,9 @@
 namespace simsel {
 namespace {
 
-// Contains and ProbeBlockFirst, checked against a scan of the whole list: membership, and the block of the first posting at or
-// after (len, id) in the list's (len, id) order (the last block if none).
+// Contains and ProbeBlockFirst, checked against a scan of the whole list:
+// membership, and the block of the first posting at or after (len, id) in
+// the list's (len, id) order (the last block if none).
 void ExpectProbe(const InvertedIndex& index, TokenId t, float len,
                  uint32_t id) {
   const size_t n = index.ListSize(t);
