@@ -26,11 +26,14 @@
 //              [--rebuild-every=N]
 //       Serving: one DynamicServing over the records — a main part cut
 //       into N segments, each query fanned out across them on a thread
-//       pool, plus a delta of inserted records — behind a versioned LRU
-//       result cache (see docs/ARCHITECTURE.md). One query when <text> is
-//       given, otherwise a repl: lines starting with `+` insert a record,
+//       pool, plus a delta of inserted records — behind an LRU result
+//       cache (see docs/ARCHITECTURE.md). One query when <text> is given,
+//       otherwise a repl: lines starting with `+` insert a record,
 //       `!rebuild` folds the delta online; both proceed concurrently with
-//       queries and invalidate the cache through the selector version.
+//       queries. Cached answers are stamped with the rebuild generation
+//       and delta cut that produced them: an insert invalidates nothing,
+//       the next hit patches the answer with the newer delta records, and
+//       a rebuild starts a new generation whose queries miss.
 //       --rebuild-every=N folds automatically in the background once the
 //       delta holds N records.
 //

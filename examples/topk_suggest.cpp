@@ -47,7 +47,9 @@ int main(int argc, char** argv) {
   for (const std::string& query : queries) {
     WallTimer timer;
     QueryResult r = selector.SelectTopK(query, k);
-    std::printf("\n\"%s\" -> top-%zu in %.2f ms (read %llu/%llu postings)\n",
+    // Top-k reruns SF at a falling τ, so it may read a list more than once.
+    std::printf("\n\"%s\" -> top-%zu in %.2f ms (%llu postings read, lists"
+                " hold %llu)\n",
                 query.c_str(), k, timer.ElapsedMillis(),
                 (unsigned long long)r.counters.elements_read,
                 (unsigned long long)r.counters.elements_total);

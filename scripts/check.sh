@@ -30,9 +30,10 @@
 #      background-rebuild replay (PatchedHitsMatchUncachedAcross-
 #      BackgroundRebuilds: patched result-cache hits against uncached
 #      answers while appends land mid-build), server_test's live-socket integration tests
-#      (admission, drain, SLO), and oracle_test's pooled segment fan-outs
-#      (the differential oracle over every configuration) — must produce
-#      zero race reports (build-tsan/).
+#      (admission, drain, SLO), oracle_test's pooled segment fan-outs
+#      (the differential oracle over every configuration) and topk_test's
+#      pooled K=3 top-k descents — must produce zero race reports
+#      (build-tsan/).
 #   6. UndefinedBehaviorSanitizer: the codec / SIMD-kernel / store tests,
 #      membership_probe_test (TA/iTA's (len, id) search of the block
 #      summaries) and oracle_test, which runs every algorithm over v2/v3/v4

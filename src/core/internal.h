@@ -86,6 +86,18 @@ inline void SortMatches(std::vector<Match>* matches) {
             [](const Match& a, const Match& b) { return a.id < b.id; });
 }
 
+/// Keeps the best k of `matches` in rank order (the top-k result order):
+/// score descending, ties broken toward the smaller id.
+inline void KeepTopK(std::vector<Match>* matches, size_t k) {
+  k = std::min(k, matches->size());
+  std::partial_sort(matches->begin(), matches->begin() + k, matches->end(),
+                    [](const Match& a, const Match& b) {
+                      if (a.score != b.score) return a.score > b.score;
+                      return a.id < b.id;
+                    });
+  matches->resize(k);
+}
+
 /// Sticky poll wrapper over a QueryControl. Algorithms construct one per
 /// query and call ShouldStop once per posting span / round / candidate-scan
 /// batch — never per posting — so an inactive control costs one predictable

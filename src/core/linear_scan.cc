@@ -30,4 +30,18 @@ QueryResult LinearScanSelect(const SimilarityMeasure& measure,
   return result;
 }
 
+QueryResult LinearScanTopK(const SimilarityMeasure& measure,
+                           const Collection& collection,
+                           const PreparedQuery& q, size_t k) {
+  QueryResult result;
+  if (k == 0) return result;
+  for (SetId s = 0; s < collection.size(); ++s) {
+    ++result.counters.rows_scanned;
+    result.matches.push_back(Match{s, measure.Score(q, s)});
+  }
+  internal::KeepTopK(&result.matches, k);
+  result.counters.results = result.matches.size();
+  return result;
+}
+
 }  // namespace simsel

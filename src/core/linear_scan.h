@@ -20,6 +20,13 @@ QueryResult LinearScanSelect(
     const PreparedQuery& q, double tau, const SelectOptions& options = {},
     SetId begin = 0, SetId end = std::numeric_limits<SetId>::max());
 
+/// Exhaustive top-k: the k best sets of the whole collection in rank order
+/// (score descending, ties toward the smaller id), zero scores included.
+/// The reference SimilaritySelector::SelectTopK is checked against.
+QueryResult LinearScanTopK(const SimilarityMeasure& measure,
+                           const Collection& collection,
+                           const PreparedQuery& q, size_t k);
+
 }  // namespace simsel
 
 #endif  // SIMSEL_CORE_LINEAR_SCAN_H_

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <utility>
 
@@ -12,7 +13,6 @@
 #include "common/timer.h"
 #include "core/internal.h"
 #include "core/sql_baseline.h"
-#include "core/topk.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/metrics_registry.h"
@@ -21,6 +21,10 @@
 namespace simsel {
 
 namespace {
+
+// SelectTopK's descent: SF at kTopKFirstTau, then at half the previous τ,
+// down to internal::kMinTau.
+constexpr double kTopKFirstTau = 0.9;
 
 // Registry handles resolved once per process; after that the per-query cost
 // is a dozen relaxed atomic adds.
@@ -473,15 +477,59 @@ QueryResult SimilaritySelector::Select(std::string_view query, double tau,
 
 QueryResult SimilaritySelector::SelectTopK(std::string_view query, size_t k,
                                            const SelectOptions& options) const {
+  obs::TraceScope root(options.trace, "query");
+  const PreparedQuery q = Prepare(query, options.trace);
   QueryResult result;
-  if (segments_.size() > 1) {
-    internal::FailResult(Status::InvalidArgument("top-k needs one segment"),
-                         &result);
-  } else {
-    result = TopKSelect(*segments_[0].index, *measure_, Prepare(query), k,
-                        options);
+  Status status;
+  // The last completed run's matches: every set scoring >= found_tau.
+  std::vector<Match> found;
+  double found_tau = std::numeric_limits<double>::infinity();
+  SelectOptions run_options = options;
+  const uint64_t budget = options.control.max_elements_read;
+  for (double tau = kTopKFirstTau; k > 0 && !q.tokens.empty();
+       tau = std::max(tau / 2, internal::kMinTau)) {
+    // One element budget spans the descent: a run gets what is left of it.
+    if (budget > 0) {
+      const uint64_t used =
+          result.counters.elements_read + result.counters.rows_scanned;
+      if (used >= budget) {
+        result.termination = Termination::kBudget;
+        break;
+      }
+      run_options.control.max_elements_read = budget - used;
+    }
+    const obs::QueryTrace* run_trace = nullptr;
+    QueryResult run =
+        SelectUnmetered(q, tau, AlgorithmKind::kSf, run_options, &run_trace);
+    // Every run opens the same lists: their total is counted once.
+    const uint64_t list_total = std::max(result.counters.elements_total,
+                                         run.counters.elements_total);
+    result.counters.Merge(run.counters);
+    result.counters.elements_total = list_total;
+    if (!run.status.ok()) {
+      status = std::move(run.status);
+      break;
+    }
+    if (run.termination != Termination::kCompleted) {
+      // The partial's matches scoring >= found_tau are already in `found`.
+      result.termination = run.termination;
+      for (const Match& m : run.matches) {
+        if (m.score < found_tau) found.push_back(m);
+      }
+      break;
+    }
+    found = std::move(run.matches);
+    found_tau = tau;
+    // Every set left out scores below τ, so below each of these: their best
+    // k are the exact top k. At kMinTau the run holds every set sharing a
+    // weighted token, so there are no more to find.
+    if (found.size() >= k || tau <= internal::kMinTau) break;
   }
+  internal::KeepTopK(&found, k);
+  result.matches = std::move(found);
+  result.counters.results = result.matches.size();
   result.trace = options.trace;
+  if (!status.ok()) internal::FailResult(std::move(status), &result);
   FlushQueryCounters(result.counters);
   return result;
 }

@@ -131,8 +131,15 @@ class SimilaritySelector {
                      AlgorithmKind kind = AlgorithmKind::kSf,
                      const SelectOptions& options = SelectOptions()) const;
 
-  /// Top-k most similar sets (see core/topk.h for semantics). One segment
-  /// only: InvalidArgument with K > 1.
+  /// The k most similar sets, in rank order: score descending, ties toward
+  /// the smaller id. Runs SF at a falling τ (0.9, then halving down to
+  /// internal::kMinTau) and stops at the first run with at least k matches,
+  /// whose best k are exact. Only sets sharing a weighted token with the
+  /// query can be returned, so fewer than k come back when fewer such sets
+  /// exist. Counters sum every run's work; elements_total stays the
+  /// query's list total. `options.control` spans the whole descent (one
+  /// element budget across the runs); a trip returns at most k exactly
+  /// scored sets in rank order with `termination` set.
   QueryResult SelectTopK(std::string_view query, size_t k,
                          const SelectOptions& options = SelectOptions()) const;
 

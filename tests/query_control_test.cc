@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -304,6 +305,51 @@ TEST(QueryControlTest, TopKHonorsControl) {
   // A tripped top-k reports only genuinely scored sets — exact scores.
   for (const Match& m : r.matches) {
     EXPECT_DOUBLE_EQ(m.score, sel.measure().Score(sel.Prepare(query), m.id));
+  }
+}
+
+TEST(QueryControlTest, TopKBudgetSpansTheDescent) {
+  // SelectTopK runs SF at 0.9, then at half the previous τ, until a run
+  // returns k matches. Replaying that schedule gives each run's work.
+  const SimilaritySelector& sel = Selector();
+  const std::string query = ProbeQuery(1);
+  const size_t k = 50;
+  std::vector<uint64_t> work;
+  for (double tau = 0.9; tau > 1e-6; tau /= 2) {
+    QueryResult run = sel.Select(query, tau);
+    work.push_back(run.counters.elements_read + run.counters.rows_scanned);
+    if (run.matches.size() >= k) break;
+  }
+  uint64_t total = 0;
+  for (uint64_t w : work) total += w;
+  QueryResult unbounded = sel.SelectTopK(query, k);
+  ASSERT_TRUE(unbounded.complete());
+  ASSERT_EQ(unbounded.matches.size(), k);
+  // The descent's counters are the sum of its runs'.
+  ASSERT_EQ(unbounded.counters.elements_read + unbounded.counters.rows_scanned,
+            total);
+
+  // A budget larger than the first run's work, and than any single run's,
+  // but smaller than the descent's: only a budget shared by the runs trips.
+  const uint64_t budget = *std::max_element(work.begin(), work.end());
+  ASSERT_GT(budget, work.front());
+  ASSERT_LT(budget, total);
+  SelectOptions opts;
+  opts.control.max_elements_read = budget;
+  QueryResult r = sel.SelectTopK(query, k, opts);
+  EXPECT_EQ(r.termination, Termination::kBudget);
+  EXPECT_TRUE(r.status.ok());
+  EXPECT_LE(r.matches.size(), k);
+  const PreparedQuery q = sel.Prepare(query);
+  for (size_t i = 0; i < r.matches.size(); ++i) {
+    const Match& m = r.matches[i];
+    EXPECT_EQ(m.score, sel.measure().Score(q, m.id)) << "id " << m.id;
+    if (i > 0) {
+      const Match& prev = r.matches[i - 1];
+      EXPECT_TRUE(prev.score > m.score ||
+                  (prev.score == m.score && prev.id < m.id))
+          << "rank " << i;
+    }
   }
 }
 
